@@ -75,27 +75,26 @@ class UegModel:
         return self.B
 
 
+def _tf_coefficient(q):
+    if q < 1:
+        raise ValueError(f"q = {q:g} must be at least 1")
+    return q ** (-2.0 / 3.0) * c_tf(3)
+
+
 def tf_dirac_model(q=1):
-    return UegModel("tf-dirac", q ** (-2.0 / 3.0) * c_tf(3), b_dirac(q))
+    return UegModel("tf-dirac", _tf_coefficient(q), b_dirac(q))
 
 
 def tf_only_model(q=1):
-    return UegModel("tf-only", q ** (-2.0 / 3.0) * c_tf(3), 0.0)
+    return UegModel("tf-only", _tf_coefficient(q), 0.0)
 
 
 def custom_model(A, B):
     return UegModel("custom", float(A), float(B))
 
 
-def lda_energy(rho, model):
-    """int e(rho) for a two-power model.
-
-    Accepts a Density (functionals are computed, closed form where the
-    family has one) or a precomputed FunctionalSet.
-    """
-    from .field import Density, functionals as _functionals
-
-    F = _functionals(rho) if isinstance(rho, Density) else rho
+def lda_energy(F, model):
+    """int e(rho) for a two-power model, from the density's FunctionalSet."""
     return model.A * F.l53 + model.B * F.l43
 
 

@@ -25,9 +25,7 @@ class CertParams:
     """Knobs of the certificate family.
 
     p and theta control the high-order gradient functional, C is the
-    user-supplied analysis constant, q the number of spin states, kappa
-    the constant of the kinetic-band route (used by the xc variant's
-    kinetic subtraction diagnostics).
+    user-supplied analysis constant, q the number of spin states.
     """
 
     p: float
@@ -35,7 +33,6 @@ class CertParams:
     C: float = 1.0
     q: int = 1
     variant: str = "quantum"
-    kappa: float = 1.0
 
 
 def validate_params(params):
@@ -215,7 +212,7 @@ class Certificate:
         return {
             "params": {
                 "p": p.p, "theta": p.theta, "C": p.C, "q": p.q,
-                "variant": p.variant, "kappa": p.kappa,
+                "variant": p.variant,
                 "model": self.model.name,
                 "model_A": self.model.A, "model_B": self.model.B,
                 "c_tf": bounds.c_tf(3), "c_lo": bounds.C_LO,
@@ -237,14 +234,16 @@ class Certificate:
 def certify(rho, params, model=None, n_grid=None):
     """Build the certificate of a density: functionals, optimal eps, band.
 
-    model defaults to the kinetic-plus-exchange power family for params.q;
-    n_grid overrides the sampling resolution of grid-quadrature families
-    (analytic families keep their closed forms either way).
+    model defaults to the kinetic-plus-exchange power family for params.q.
+    The density is sampled once, on default_grid(rho, n_grid); that field
+    gives the Hartree term and, for grid-quadrature families, the other
+    functionals (analytic families keep their closed forms).
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
-    F = field.functionals(rho, theta=params.theta, p=params.p)
+    sampled = field.density_to_field(rho, field.default_grid(rho, n_grid))
+    F = field.functionals(rho, theta=params.theta, p=params.p, sampled=sampled)
     zero = F.mass == 0.0 and F.kin == 0.0 and F.thg == 0.0
     if zero:
         F = F.with_hartree(0.0)
@@ -255,7 +254,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = F.with_hartree(coulomb.hartree(rho, field.default_grid(rho, n_grid)))
+    F = F.with_hartree(coulomb.hartree(sampled))
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:
@@ -418,10 +417,7 @@ def flatness_error(rho, eps, params, ell, delta, n=None):
     # density family is built on, so rho = rho0 * w holds exactly there
     verts = cfg.ell * tiling.unit_cube_tetrahedra()[0].vertices
 
-    if rho.family == "grid":
-        spec = rho.params["field"].spec
-    else:
-        spec = _flatness_grid(verts, delta, n)
+    spec = rho.own_grid or _flatness_grid(verts, delta, n)
     rho_f = field.density_to_field(rho, spec)
     X, Y, Z = spec.meshgrid()
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)

@@ -5,6 +5,7 @@ configuration and diagnostics go to stderr.  Exit codes: 0 success, 2
 parameter rejection (including unreadable inputs), 3 accuracy failure.
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -76,10 +77,7 @@ def _guarded(fn):
         except (field.SupportError, kinetic.SolverError) as exc:
             click.echo(f"accuracy failure: {exc}", err=True)
             sys.exit(3)
-        except FileNotFoundError as exc:
-            click.echo(f"parameter rejection: {exc}", err=True)
-            sys.exit(2)
-        except ValueError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             click.echo(f"parameter rejection: {exc}", err=True)
             sys.exit(2)
 
@@ -90,10 +88,12 @@ def _guarded(fn):
 # density and model parsing
 
 
-_BUILTIN_KEYS = {
-    "gaussian": ("sigma", "mass"),
-    "compact-bump": ("radius", "mass"),
-    "smeared-tetra": ("rho0", "ell", "delta"),
+#: builtin density names and their families; a builtin's keys are its
+#: family's parameters, all of them required
+_BUILTINS = {
+    "gaussian": field.Gaussian,
+    "compact-bump": field.CompactBump,
+    "smeared-tetra": field.SmearedTetra,
 }
 
 
@@ -103,30 +103,28 @@ def parse_density(spec):
         body = spec[len("builtin:"):]
         parts = body.split(",")
         name = parts[0].strip().replace("_", "-")
-        if name not in _BUILTIN_KEYS:
+        if name not in _BUILTINS:
             raise click.BadParameter(
-                f"unknown builtin density {name!r}; choices: {sorted(_BUILTIN_KEYS)}")
+                f"unknown builtin density {name!r}; choices: {sorted(_BUILTINS)}")
+        family = _BUILTINS[name]
+        keys = tuple(f.name for f in dataclasses.fields(family))
         kv = {}
         for item in parts[1:]:
             if "=" not in item:
                 raise click.BadParameter(f"expected key=val, got {item!r}")
             key, _, val = item.partition("=")
             key = key.strip()
-            if key not in _BUILTIN_KEYS[name]:
+            if key not in keys:
                 raise click.BadParameter(
-                    f"unknown key {key!r} for {name}; expected {_BUILTIN_KEYS[name]}")
+                    f"unknown key {key!r} for {name}; expected {keys}")
             try:
                 kv[key] = float(val)
             except ValueError:
                 raise click.BadParameter(f"bad numeric value {val!r} for {key}")
-        missing = [k for k in _BUILTIN_KEYS[name] if k not in kv]
+        missing = [k for k in keys if k not in kv]
         if missing:
             raise click.BadParameter(f"builtin {name} is missing {missing}")
-        if name == "gaussian":
-            return field.Density.gaussian(kv["sigma"], kv["mass"])
-        if name == "compact-bump":
-            return field.Density.compact_bump(kv["radius"], kv["mass"])
-        return field.Density.smeared_tetra(kv["rho0"], kv["ell"], kv["delta"])
+        return family(**kv)
     return field.Density.grid(field.read_grid(spec))
 
 
@@ -188,9 +186,6 @@ def certify(density, p, theta, c_const, q, variant, model):
     rho = parse_density(density)
     params = certificate.CertParams(p=p, theta=theta, C=c_const, q=q,
                                     variant=variant)
-    ok, reason = certificate.validate_params(params)
-    if not ok:
-        raise ValueError(f"rejected parameters: {reason}")
     cert = certificate.certify(rho, params, parse_model(model, q))
     click.echo(certificate.report_json(cert), nl=False)
 
@@ -225,10 +220,9 @@ def tile(ell, delta, out):
     """Write the regularized cutoff of tile 1 as an LDA-GRID file."""
     _echo_config("tile", ell=ell, delta=delta, out=out)
     cfg = tiling.TilingConfig(ell, delta)
-    half = 0.55 * ell + delta
     n = 64
-    h = 2.0 * half / (n - 1)
-    spec = field.GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
+    # the box the smeared_tetra family samples the same tile in
+    spec = field.default_grid(field.Density.smeared_tetra(1.0, ell, delta), n)
     field.write_grid(tiling.sample_field(cfg, 1, spec, kind="chi"), out)
     click.echo(f"# wrote {out} ({n}^3 samples)", err=True)
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate as _sciint
 
-from .field import (Density, ScalarField, SupportError, density_to_field,
-                    default_grid)
+from .field import Density, ScalarField, SupportError, density_to_field
 
 _TWO_PI = 2.0 * math.pi
 
@@ -108,7 +107,7 @@ def _as_field(rho, spec=None):
     if isinstance(rho, ScalarField):
         return rho
     if isinstance(rho, Density):
-        return density_to_field(rho, spec if spec is not None else default_grid(rho))
+        return density_to_field(rho, spec)
     raise TypeError(f"expected Density or ScalarField, got {type(rho).__name__}")
 
 

@@ -132,69 +132,6 @@ def gradient(field):
 # density families
 
 
-class Density:
-    """Tagged density: an analytic family or a sampled grid field.
-
-    Use the constructors; the tag decides which functional route is taken.
-    """
-
-    def __init__(self, family, **params):
-        self.family = family
-        self.params = params
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"Density.{self.family}({inner})"
-
-    @classmethod
-    def gaussian(cls, sigma, mass=1.0):
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        if mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {mass}")
-        return cls("gaussian", sigma=float(sigma), mass=float(mass))
-
-    @classmethod
-    def compact_bump(cls, radius, mass=1.0):
-        if not radius > 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        if mass < 0:
-            raise ValueError(f"mass must be nonnegative, got {mass}")
-        return cls("compact_bump", radius=float(radius), mass=float(mass))
-
-    @classmethod
-    def smeared_tetra(cls, rho0, ell, delta):
-        if rho0 < 0:
-            raise ValueError(f"rho0 must be nonnegative, got {rho0}")
-        if not (0 < delta < ell / 2):
-            raise ValueError(f"need 0 < delta < ell/2, got delta={delta} ell={ell}")
-        return cls("smeared_tetra", rho0=float(rho0), ell=float(ell),
-                   delta=float(delta))
-
-    @classmethod
-    def grid(cls, field):
-        if np.any(field.values < 0):
-            raise ValueError("grid density has negative values")
-        return cls("grid", field=field)
-
-    def scaled(self, factor):
-        """Pointwise multiple factor*rho (factor >= 0); family is preserved."""
-        if factor < 0:
-            raise ValueError("factor must be nonnegative")
-        if self.family == "gaussian":
-            return Density.gaussian(self.params["sigma"],
-                                    factor * self.params["mass"])
-        if self.family == "compact_bump":
-            return Density.compact_bump(self.params["radius"],
-                                        factor * self.params["mass"])
-        if self.family == "smeared_tetra":
-            p = dict(self.params)
-            p["rho0"] *= factor
-            return Density("smeared_tetra", **p)
-        f = self.params["field"]
-        return Density.grid(ScalarField(f.spec, factor * f.values))
-
-
 @dataclass
 class FunctionalSet:
     """The scalar functionals the certificates are built from.
@@ -229,33 +166,6 @@ def _gaussian_power_integral(sigma, mass, s):
     return mass**s * (2.0 * math.pi * sigma**2) ** (1.5 * (1.0 - s)) * s**-1.5
 
 
-def _gaussian_functionals(sigma, mass, theta, p):
-    tp = theta * p
-    if mass == 0.0:
-        thg = 0.0
-    else:
-        amp = mass * (2.0 * math.pi * sigma**2) ** -1.5
-        thg = (
-            (theta / sigma**2) ** p
-            * amp**tp
-            * 2.0
-            * math.pi
-            * math.gamma((p + 3.0) / 2.0)
-            * (2.0 * sigma**2 / tp) ** ((p + 3.0) / 2.0)
-        )
-    return FunctionalSet(
-        mass=mass,
-        l2=_gaussian_power_integral(sigma, mass, 2.0),
-        l43=_gaussian_power_integral(sigma, mass, 4.0 / 3.0),
-        l53=_gaussian_power_integral(sigma, mass, 5.0 / 3.0),
-        kin=0.75 * mass / sigma**2,
-        tv=2.0 * mass / sigma * math.sqrt(2.0 / math.pi),
-        thg=thg,
-        theta=theta,
-        p=p,
-    )
-
-
 def gaussian_hartree(sigma, mass):
     """Closed-form self-interaction of the gaussian: mass^2/(2 sqrt(pi) sigma)."""
     return mass**2 / (2.0 * math.sqrt(math.pi) * sigma)
@@ -278,35 +188,6 @@ def _bump_radial_table(radius, s_keys):
         val, _ = _sciint.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
         out[key] = 4.0 * math.pi * val
     return out
-
-
-def _bump_functionals(radius, mass, theta, p):
-    if mass == 0.0:
-        return FunctionalSet(0, 0, 0, 0, 0, 0, 0, theta=theta, p=p)
-    keys = (
-        ("norm", "pow", 1.0, 0),
-        ("l2", "pow", 2.0, 0),
-        ("l43", "pow", 4.0 / 3.0, 0),
-        ("l53", "pow", 5.0 / 3.0, 0),
-        ("kin", "grad", 0.5, 2.0),
-        ("tv", "grad", 1.0, 1.0),
-        ("thg", "grad", theta, p),
-    )
-    tab = _bump_radial_table(radius, keys)
-    # rho(r) = c * exp(-1/(1-(r/R)^2)), c fixed by the mass
-    c = mass / (tab["norm"] * radius**3)
-    return FunctionalSet(
-        mass=mass,
-        l2=c**2 * radius**3 * tab["l2"],
-        l43=c ** (4.0 / 3.0) * radius**3 * tab["l43"],
-        l53=c ** (5.0 / 3.0) * radius**3 * tab["l53"],
-        # gradient quadratures carry one 1/R per derivative
-        kin=c * radius * tab["kin"],
-        tv=c * radius**2 * tab["tv"],
-        thg=c ** (theta * p) * radius ** (3.0 - p) * tab["thg"],
-        theta=theta,
-        p=p,
-    )
 
 
 def _grid_functionals(field, theta, p):
@@ -338,89 +219,241 @@ def _grid_functionals(field, theta, p):
     )
 
 
+class Density:
+    """A particle density: one frozen subclass per family, built with
+    Density.gaussian / compact_bump / smeared_tetra / grid.
+
+    Each family validates its parameters and provides default_grid(n),
+    sample(spec), scaled(factor) and functionals(theta, p, sampled);
+    only smeared_tetra reads ``sampled`` (its samples, if already taken).
+    """
+
+    #: the grid a density is tied to; only sampled grid densities have one
+    own_grid = None
+
+
+def _cube_grid(half, n):
+    # n^3 nodes spanning the cube [-half, half]^3
+    h = 2.0 * half / (n - 1)
+    return GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
+
+
+def _scale_factor(factor):
+    if factor < 0:
+        raise ValueError("factor must be nonnegative")
+    return factor
+
+
+@dataclass(frozen=True)
+class Gaussian(Density):
+    """mass * (2 pi sigma^2)^{-3/2} exp(-|x|^2/(2 sigma^2))."""
+
+    sigma: float
+    mass: float = 1.0
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.mass < 0:
+            raise ValueError(f"mass must be nonnegative, got {self.mass}")
+
+    def default_grid(self, n=None):
+        return _cube_grid(8.0 * self.sigma, n or 96)
+
+    def sample(self, spec):
+        X, Y, Z = spec.meshgrid()
+        amp = self.mass * (2.0 * math.pi * self.sigma**2) ** -1.5
+        return ScalarField(
+            spec, amp * np.exp(-(X**2 + Y**2 + Z**2) / (2.0 * self.sigma**2)))
+
+    def scaled(self, factor):
+        return replace(self, mass=_scale_factor(factor) * self.mass)
+
+    def functionals(self, theta, p, sampled=None):
+        sigma, mass = self.sigma, self.mass
+        tp = theta * p
+        if mass == 0.0:
+            thg = 0.0
+        else:
+            amp = mass * (2.0 * math.pi * sigma**2) ** -1.5
+            thg = (
+                (theta / sigma**2) ** p
+                * amp**tp
+                * 2.0
+                * math.pi
+                * math.gamma((p + 3.0) / 2.0)
+                * (2.0 * sigma**2 / tp) ** ((p + 3.0) / 2.0)
+            )
+        return FunctionalSet(
+            mass=mass,
+            l2=_gaussian_power_integral(sigma, mass, 2.0),
+            l43=_gaussian_power_integral(sigma, mass, 4.0 / 3.0),
+            l53=_gaussian_power_integral(sigma, mass, 5.0 / 3.0),
+            kin=0.75 * mass / sigma**2,
+            tv=2.0 * mass / sigma * math.sqrt(2.0 / math.pi),
+            thg=thg,
+            theta=theta,
+            p=p,
+        )
+
+
+@dataclass(frozen=True)
+class CompactBump(Density):
+    """c exp(-1/(1 - |x|^2/radius^2)) on the ball, c fixed by the mass."""
+
+    radius: float
+    mass: float = 1.0
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        if self.mass < 0:
+            raise ValueError(f"mass must be nonnegative, got {self.mass}")
+
+    def default_grid(self, n=None):
+        return _cube_grid(1.05 * self.radius, n or 96)
+
+    def sample(self, spec):
+        X, Y, Z = spec.meshgrid()
+        keys = (("norm", "pow", 1.0, 0),)
+        tab = _bump_radial_table(self.radius, keys)
+        c = self.mass / (tab["norm"] * self.radius**3)
+        r2 = (X**2 + Y**2 + Z**2) / self.radius**2
+        vals = np.zeros_like(X)
+        inside = r2 < 1.0
+        vals[inside] = c * np.exp(-1.0 / (1.0 - r2[inside]))
+        return ScalarField(spec, vals)
+
+    def scaled(self, factor):
+        return replace(self, mass=_scale_factor(factor) * self.mass)
+
+    def functionals(self, theta, p, sampled=None):
+        radius, mass = self.radius, self.mass
+        if mass == 0.0:
+            return FunctionalSet(0, 0, 0, 0, 0, 0, 0, theta=theta, p=p)
+        keys = (
+            ("norm", "pow", 1.0, 0),
+            ("l2", "pow", 2.0, 0),
+            ("l43", "pow", 4.0 / 3.0, 0),
+            ("l53", "pow", 5.0 / 3.0, 0),
+            ("kin", "grad", 0.5, 2.0),
+            ("tv", "grad", 1.0, 1.0),
+            ("thg", "grad", theta, p),
+        )
+        tab = _bump_radial_table(radius, keys)
+        # rho(r) = c * exp(-1/(1-(r/R)^2)), c fixed by the mass
+        c = mass / (tab["norm"] * radius**3)
+        return FunctionalSet(
+            mass=mass,
+            l2=c**2 * radius**3 * tab["l2"],
+            l43=c ** (4.0 / 3.0) * radius**3 * tab["l43"],
+            l53=c ** (5.0 / 3.0) * radius**3 * tab["l53"],
+            # gradient quadratures carry one 1/R per derivative
+            kin=c * radius * tab["kin"],
+            tv=c * radius**2 * tab["tv"],
+            thg=c ** (theta * p) * radius ** (3.0 - p) * tab["thg"],
+            theta=theta,
+            p=p,
+        )
+
+
+@dataclass(frozen=True)
+class SmearedTetra(Density):
+    """rho0 times the smeared cutoff xi_1 of tile 1 of the ell-cube tiling."""
+
+    rho0: float
+    ell: float
+    delta: float
+
+    def __post_init__(self):
+        if self.rho0 < 0:
+            raise ValueError(f"rho0 must be nonnegative, got {self.rho0}")
+        if not (0 < self.delta < self.ell / 2):
+            raise ValueError(
+                f"need 0 < delta < ell/2, got delta={self.delta} ell={self.ell}")
+
+    def default_grid(self, n=None):
+        # resolve the mollifier shell (width delta/10) with ~4 cells, capped
+        h_target = self.delta / 40.0
+        half = 0.55 * self.ell + self.delta
+        return _cube_grid(
+            half, n or min(192, max(48, int(round(2.0 * half / h_target)) + 1)))
+
+    def sample(self, spec):
+        from . import tiling  # lazy: tiling needs this module's grid types
+
+        cfg = tiling.TilingConfig(self.ell, self.delta)
+        xi = tiling.sample_field(cfg, 1, spec, kind="xi")
+        return ScalarField(spec, np.clip(self.rho0 * xi.values, 0.0, None))
+
+    def scaled(self, factor):
+        return replace(self, rho0=_scale_factor(factor) * self.rho0)
+
+    def functionals(self, theta, p, sampled=None):
+        if sampled is None:
+            sampled = density_to_field(self)
+        return _grid_functionals(sampled, theta, p)
+
+
+@dataclass(frozen=True, eq=False)
+class GridDensity(Density):
+    """A density given by its samples, tied to their grid."""
+
+    field: ScalarField
+
+    def __post_init__(self):
+        if np.any(self.field.values < 0):
+            raise ValueError("grid density has negative values")
+
+    own_grid = property(lambda self: self.field.spec)
+
+    def default_grid(self, n=None):
+        return self.own_grid
+
+    def sample(self, spec):
+        if spec != self.field.spec:
+            raise ValueError("grid densities carry their own GridSpec")
+        return self.field
+
+    def scaled(self, factor):
+        return GridDensity(ScalarField(self.field.spec,
+                                       _scale_factor(factor) * self.field.values))
+
+    def functionals(self, theta, p, sampled=None):
+        return _grid_functionals(self.field, theta, p)
+
+
+Density.gaussian = Gaussian
+Density.compact_bump = CompactBump
+Density.smeared_tetra = SmearedTetra
+Density.grid = GridDensity
+
+
 def default_grid(rho, n=None):
     """The grid a density family is sampled on when none is given."""
-    if rho.family == "gaussian":
-        sigma = rho.params["sigma"]
-        n = n or 96
-        half = 8.0 * sigma
-        h = 2.0 * half / (n - 1)
-        return GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
-    if rho.family == "compact_bump":
-        radius = rho.params["radius"]
-        n = n or 96
-        half = 1.05 * radius
-        h = 2.0 * half / (n - 1)
-        return GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
-    if rho.family == "smeared_tetra":
-        ell, delta = rho.params["ell"], rho.params["delta"]
-        # resolve the mollifier shell (width delta/10) with ~4 cells, capped
-        h_target = delta / 40.0
-        half = 0.55 * ell + delta
-        n = n or min(192, max(48, int(round(2.0 * half / h_target)) + 1))
-        h = 2.0 * half / (n - 1)
-        return GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
-    if rho.family == "grid":
-        return rho.params["field"].spec
-    raise ValueError(f"unknown family {rho.family!r}")
+    return rho.default_grid(n)
 
 
 def density_to_field(rho, spec=None):
     """Sample a density on a grid (its default one unless spec is given)."""
-    if rho.family == "grid":
-        field = rho.params["field"]
-        if spec is not None and spec != field.spec:
-            raise ValueError("grid densities carry their own GridSpec")
-        return field
-    spec = spec or default_grid(rho)
-    X, Y, Z = spec.meshgrid()
-    if rho.family == "gaussian":
-        sigma, mass = rho.params["sigma"], rho.params["mass"]
-        amp = mass * (2.0 * math.pi * sigma**2) ** -1.5
-        vals = amp * np.exp(-(X**2 + Y**2 + Z**2) / (2.0 * sigma**2))
-    elif rho.family == "compact_bump":
-        radius, mass = rho.params["radius"], rho.params["mass"]
-        keys = (("norm", "pow", 1.0, 0),)
-        tab = _bump_radial_table(radius, keys)
-        c = mass / (tab["norm"] * radius**3)
-        r2 = (X**2 + Y**2 + Z**2) / radius**2
-        vals = np.zeros_like(X)
-        inside = r2 < 1.0
-        vals[inside] = c * np.exp(-1.0 / (1.0 - r2[inside]))
-    elif rho.family == "smeared_tetra":
-        from . import tiling  # lazy: tiling needs this module's grid types
-
-        cfg = tiling.TilingConfig(rho.params["ell"], rho.params["delta"])
-        pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-        vals = rho.params["rho0"] * tiling.xi_values(cfg, 1, pts).reshape(X.shape)
-        vals = np.clip(vals, 0.0, None)
-    else:
-        raise ValueError(f"unknown family {rho.family!r}")
-    return ScalarField(spec, vals)
+    return rho.sample(default_grid(rho) if spec is None else spec)
 
 
-def functionals(rho, theta=0.5, p=4.0):
-    """FunctionalSet of a density; analytic families use exact routes."""
+def functionals(rho, theta=0.5, p=4.0, sampled=None):
+    """FunctionalSet of a density; analytic families use exact routes.
+
+    sampled: the density's samples, if the caller already took them.
+    """
     if not (0 < theta < 1):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if rho.family == "gaussian":
-        return _gaussian_functionals(rho.params["sigma"], rho.params["mass"],
-                                     theta, p)
-    if rho.family == "compact_bump":
-        return _bump_functionals(rho.params["radius"], rho.params["mass"],
-                                 theta, p)
-    if rho.family == "smeared_tetra":
-        return _grid_functionals(density_to_field(rho), theta, p)
-    if rho.family == "grid":
-        return _grid_functionals(rho.params["field"], theta, p)
-    raise ValueError(f"unknown family {rho.family!r}")
+    return rho.functionals(theta, p, sampled)
 
 
 _SCALE_POWERS = {
     "mass": 1.0, "l2": 1.0, "l43": 1.0, "l53": 1.0,
-    "kin": 1.0 / 3.0, "tv": 2.0 / 3.0, "hartree": 5.0 / 3.0,
+    "kin": 1.0 / 3.0, "tv": 2.0 / 3.0,
 }
 
 
@@ -432,13 +465,10 @@ def scale_functionals(F, N):
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    kw = {name: getattr(F, name) * N**pw for name, pw in _SCALE_POWERS.items()
-          if name != "hartree"}
+    kw = {name: getattr(F, name) * N**pw for name, pw in _SCALE_POWERS.items()}
     kw["thg"] = F.thg * N ** (1.0 - F.p / 3.0)
-    kw["theta"] = F.theta
-    kw["p"] = F.p
     kw["hartree"] = None if F.hartree is None else F.hartree * N ** (5.0 / 3.0)
-    return FunctionalSet(**kw)
+    return replace(F, **kw)
 
 
 # ---------------------------------------------------------------------------

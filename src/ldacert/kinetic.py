@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 
-from .bounds import c_tf
+from .bounds import KAPPA_1, KAPPA_2, c_tf
 
 
 class SolverError(RuntimeError):
@@ -181,9 +181,6 @@ def remark_b(eps):
 # ---------------------------------------------------------------------------
 # kinetic-energy bound evaluators (d = 3 uses F.l53 as the 1+2/d integral)
 
-KAPPA_1_DEFAULT = 1.0
-KAPPA_2_DEFAULT = 48.0
-
 
 def _power_integral(F, d):
     if d != 3:
@@ -193,7 +190,7 @@ def _power_integral(F, d):
 
 
 def t_upper(F, eps, d=3, q=1, variant="general",
-            kappa1=KAPPA_1_DEFAULT, kappa2=KAPPA_2_DEFAULT):
+            kappa1=KAPPA_1, kappa2=KAPPA_2):
     """Semiclassical upper bound on the lowest kinetic energy.
 
     general:       q^{-2/d} c_TF (1 + kappa1*eps) * int rho^{1+2/d}

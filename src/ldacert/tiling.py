@@ -600,25 +600,6 @@ def xi(j, cfg, x):
 # tile integrals (Duffy tensor rule on a fattened copy of the tile)
 
 
-def _duffy_rule(vertices, n):
-    """Positive quadrature rule for a tetrahedron via the Duffy map."""
-    x, w = leggauss(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    u1, u2, u3 = np.meshgrid(x, x, x, indexing="ij")
-    w1, w2, w3 = np.meshgrid(w, w, w, indexing="ij")
-    v0, v1, v2, v3 = np.asarray(vertices, dtype=float)
-    pts = (
-        v0[None, :]
-        + u1.ravel()[:, None] * (v1 - v0)[None, :]
-        + (u1 * u2).ravel()[:, None] * (v2 - v1)[None, :]
-        + (u1 * u2 * u3).ravel()[:, None] * (v3 - v2)[None, :]
-    )
-    vol = abs(_signed_volume(np.asarray(vertices, dtype=float)))
-    wts = 6.0 * vol * (u1 * u1 * u2 * w1 * w2 * w3).ravel()
-    return pts, wts
-
-
 def _support_box_grid(cfg, j, n):
     """Uniform midpoint grid covering the support of chi_j.
 

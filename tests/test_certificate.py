@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldacert import bounds, certificate, field, tiling
+from ldacert import bounds, certificate, coulomb, field, tiling
 
 QUANTUM = certificate.CertParams(p=4.0, theta=0.5)
 CLASSICAL = certificate.CertParams(p=4.0, theta=0.5, variant="classical")
@@ -131,6 +131,44 @@ def test_report_json_determinism():
     doc = json.loads(r1)
     assert doc["epsilon_star"] == cert.eps_star
     assert doc["params"]["variant"] == "quantum"
+    assert "kappa" not in doc["params"]
+
+
+def test_certify_functionals_follow_n_grid():
+    """certify(..., n_grid=n) takes every functional from the n-grid samples."""
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    spec = field.default_grid(rho, 40)
+    cert = certificate.certify(rho, QUANTUM, n_grid=40)
+    sampled = field.Density.grid(field.density_to_field(rho, spec))
+    want = field.functionals(sampled, theta=QUANTUM.theta, p=QUANTUM.p)
+    assert dataclasses.replace(cert.functionals, hartree=None) == want
+    assert cert.functionals.hartree == coulomb.hartree(sampled)
+
+
+def _grid_gaussian():
+    rho = field.Density.gaussian(1.0, 1.0)
+    return field.Density.grid(field.density_to_field(rho, field.default_grid(rho, 24)))
+
+
+@pytest.mark.parametrize("make,n_grid", [
+    (lambda: field.Density.gaussian(1.0, 1.0), 24),
+    (lambda: field.Density.compact_bump(1.5, 1.3), 24),
+    (lambda: field.Density.smeared_tetra(1.0, 2.0, 0.5), 40),
+    (_grid_gaussian, None),
+], ids=["gaussian", "compact_bump", "smeared_tetra", "grid"])
+def test_certify_samples_each_density_once(monkeypatch, make, n_grid):
+    rho = make()
+    original = field.density_to_field
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(field, "density_to_field", counting)
+    monkeypatch.setattr(coulomb, "density_to_field", counting)
+    certificate.certify(rho, QUANTUM, n_grid=n_grid)
+    assert calls == [rho]
 
 
 def test_scaling_sweep_rates():

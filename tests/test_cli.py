@@ -45,6 +45,7 @@ def test_certify_deterministic_output(runner):
     (["certify", "--density", GAUSS, "--model", "custom:1.0"], "custom:<A>,<B>"),
     (["certify", "--density", GAUSS, "--bogus"], ""),
     (["scaling", "--n", "5:1:4"], ""),
+    (["certify", "--density", GAUSS, "--q", "0"], "at least 1"),
 ])
 def test_parameter_rejections_exit_2(runner, args, fragment):
     result = runner.invoke(cli.main, args)
@@ -86,6 +87,7 @@ def test_tile_round_trip(runner, tmp_path):
                                       "--out", str(out)])
     assert result.exit_code == 0
     f = field.read_grid(str(out))
+    assert f.spec == field.default_grid(field.Density.smeared_tetra(1.0, 4.0, 1.0), 64)
     assert f.values.max() == pytest.approx(1.0 / (1.0 - 0.25) ** 3, rel=1e-12)
     copy = tmp_path / "copy.grid"
     field.write_grid(f, str(copy))

@@ -118,6 +118,22 @@ def test_grid_density_spec_mismatch():
         field.density_to_field(grid_rho, other)
 
 
+def test_scaled_keeps_the_family():
+    assert (field.Density.gaussian(1.0, 2.0).scaled(3.0)
+            == field.Density.gaussian(1.0, 6.0))
+    assert (field.Density.compact_bump(1.5, 2.0).scaled(0.5)
+            == field.Density.compact_bump(1.5, 1.0))
+    assert (field.Density.smeared_tetra(2.0, 4.0, 1.0).scaled(0.25)
+            == field.Density.smeared_tetra(0.5, 4.0, 1.0))
+    spec = field.GridSpec((4, 4, 4), (1.0, 1.0, 1.0))
+    grid = field.Density.grid(field.ScalarField(spec, np.ones(spec.dims)))
+    doubled = field.density_to_field(grid.scaled(2.0))
+    assert doubled.spec == spec
+    np.testing.assert_array_equal(doubled.values, np.full(spec.dims, 2.0))
+    with pytest.raises(ValueError):
+        grid.scaled(-1.0)
+
+
 def test_integrate_constant():
     spec = field.GridSpec((10, 10, 10), (0.1, 0.1, 0.1), (0.0, 0.0, 0.0))
     f = field.ScalarField(spec=spec, values=np.ones((10, 10, 10)))
