@@ -37,7 +37,7 @@ KAPPA_2 = 48.0
 
 def b_dirac(q=1):
     """Exchange coefficient of the uniform gas: -(3/4)(3/pi)^{1/3} q^{-1/3}."""
-    return -0.75 * (3.0 / math.pi) ** (1.0 / 3.0) * q ** (-1.0 / 3.0)
+    return -0.75 * (3.0 / math.pi) ** (1.0 / 3.0) * _spin(q) ** (-1.0 / 3.0)
 
 
 def constants_table(q=1):
@@ -75,10 +75,15 @@ class UegModel:
         return self.B
 
 
-def _tf_coefficient(q):
+def _spin(q):
+    """The spin degeneracy q, which must be at least 1."""
     if q < 1:
         raise ValueError(f"q = {q:g} must be at least 1")
-    return q ** (-2.0 / 3.0) * c_tf(3)
+    return q
+
+
+def _tf_coefficient(q):
+    return _spin(q) ** (-2.0 / 3.0) * c_tf(3)
 
 
 def tf_dirac_model(q=1):
@@ -106,7 +111,7 @@ def e_envelope(rho0, q=1):
     if rho0 < 0:
         raise ValueError(f"density value must be nonnegative, got {rho0}")
     return (-C_LO * rho0 ** (4.0 / 3.0),
-            q ** (-2.0 / 3.0) * c_tf(3) * rho0 ** (5.0 / 3.0))
+            _tf_coefficient(q) * rho0 ** (5.0 / 3.0))
 
 
 def model_lipschitz_probe(model, pairs=None, rng=None):
@@ -158,7 +163,7 @@ def energy_lower(F, q=1, c_lt=None):
     conjectured = c_lt is None
     if conjectured:
         c_lt = c_tf(3)
-    return q ** (-2.0 / 3.0) * c_lt * F.l53 - C_LO * F.l43, conjectured
+    return _spin(q) ** (-2.0 / 3.0) * c_lt * F.l53 - C_LO * F.l43, conjectured
 
 
 def energy_upper(F, eps, q=1):

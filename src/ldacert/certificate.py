@@ -76,7 +76,7 @@ def classical_b(p, theta):
 
 
 def _tf_term(F, q):
-    return q ** (-2.0 / 3.0) * bounds.c_tf(3) * F.l53
+    return bounds._tf_coefficient(q) * F.l53
 
 
 def rhs(F, eps, params):
@@ -357,14 +357,13 @@ def t_band_estimate(F, eps, q=1, C=1.0):
     return center - half, center + half
 
 
-def tetra_band(rho0, ell, delta, alpha, C=1.0, model=None):
+def tetra_band(rho0, ell, delta, alpha, C=1.0):
     """Thermodynamic-limit margins of the smeared-tetrahedron energy.
 
     Returns (upper_margin, avg_lower_margin, pointwise_lower_margin): the
-    error magnitudes around the gas energy of the model at density rho0
-    (the margins themselves are model-independent; the model argument is
-    accepted for symmetry with the band assembly).  The averaged lower
-    margin holds for the dilation average over [1-alpha, 1+alpha].
+    error magnitudes around the gas energy of a model at density rho0; the
+    margins themselves are model-independent.  The averaged lower margin
+    holds for the dilation average over [1-alpha, 1+alpha].
     """
     if rho0 < 0:
         raise ValueError(f"rho0 must be nonnegative, got {rho0}")

@@ -8,7 +8,6 @@ parameter rejection (including unreadable inputs), 3 accuracy failure.
 import dataclasses
 import functools
 import math
-import os
 import sys
 
 import click
@@ -46,23 +45,8 @@ TOLERANCES = {
 }
 
 
-def _thread_cap():
-    raw = os.environ.get("LDA_CERT_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise click.BadParameter(f"LDA_CERT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise click.BadParameter(f"LDA_CERT_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _echo_config(name, **kv):
-    cap = _thread_cap()
-    if cap is not None:
-        kv["threads"] = cap
+    kv["threads"] = coulomb._fft_workers()
     pairs = " ".join(f"{k}={v}" for k, v in kv.items())
     click.echo(f"# {name} {pairs}", err=True)
 
@@ -162,9 +146,10 @@ def _parse_sweep(text):
 
 
 @click.group()
+@_guarded
 def main():
     """Certified error bands for local-density energy approximations."""
-    _thread_cap()
+    coulomb._fft_workers()  # a bad LDA_CERT_THREADS exits 2 before any command
 
 
 @main.command()

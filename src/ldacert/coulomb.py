@@ -3,18 +3,22 @@
 The direct (Hartree) term is computed spectrally on a zero-padded grid with
 a spherically truncated Coulomb kernel: truncation radius R = the original
 box diagonal removes all periodic images for densities supported inside the
-box, so the only error left is discretization.  The same truncated kernel
-backs the reciprocal-space moment integrals and the translation-averaged
-localization identity.  The annulus convolution is an independent 1D radial
-reduction used by the tiling error analysis.
+box, so the only error left is discretization.  Real FFTs carry the
+convolution, with the kernel built once per grid and cached.  The same
+truncated kernel backs the reciprocal-space moment integrals and the
+translation-averaged localization identity.  The annulus convolution is an
+independent 1D radial reduction used by the tiling error analysis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as _fft
 from scipy import integrate as _sciint
 
 from .field import Density, ScalarField, SupportError, density_to_field
@@ -23,11 +27,59 @@ _TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# spectral representation
+# transform engine
+
+
+def _fft_workers():
+    """scipy.fft worker count: LDA_CERT_THREADS, else the CPUs this process
+    may run on.  Workers split independent 1D transforms, so the count never
+    changes a value."""
+    raw = os.environ.get("LDA_CERT_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0))
+    workers = int(raw) if raw.strip().isdigit() else 0
+    if workers < 1:
+        raise ValueError(f"LDA_CERT_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
+def _kernel_values(psq, radius):
+    """(1 - cos(R|p|))/|p|^2 with the analytic value R^2/2 at p = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (1.0 - np.cos(radius * np.sqrt(psq))) / psq
+    out[psq == 0.0] = 0.5 * radius**2
+    return out
+
+
+class _Engine:
+    """Padded transform geometry and truncated Coulomb kernel of one grid.
+
+    Fields are zero-padded to twice their dims per axis; the truncation
+    radius is the diagonal of the original (unpadded) box.
+    """
+
+    def __init__(self, spec):
+        self.shape = tuple(2 * n for n in spec.dims)
+        self.radius = float(np.linalg.norm(spec.box_lengths))
+        self.pad_volume = spec.cell_volume * float(np.prod(self.shape))
+        #: angular frequency axes of the full padded reciprocal grid
+        self.freqs = fx, fy, fz = tuple(
+            _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spec.spacing))
+        # rfftn half-grid; the sign of the Nyquist entry drops out of |p|^2
+        fz_half = fz[: self.shape[2] // 2 + 1]
+        psq = fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz_half[None, None, :] ** 2
+        #: 4 pi (1 - cos R|p|)/|p|^2 on the half-grid, shared by every caller
+        self.kernel = 4.0 * math.pi * _kernel_values(psq, self.radius)
+        self.kernel.flags.writeable = False
+
+
+# bounded: the kernel of a 192^3 grid alone takes 227 MB
+_engine = functools.lru_cache(maxsize=8)(_Engine)
+
 
 @dataclass
 class SpectralField:
-    """Plain DFT of a zero-padded real field.
+    """Plain DFT of a real field zero-padded to twice its dims per axis.
 
     coeffs follows the numpy transform convention scaled by the cell volume,
     so coeffs[j] approximates the continuum transform int rho e^{-ip.x} dx
@@ -36,55 +88,14 @@ class SpectralField:
     """
 
     spec: object
-    pad: int
     coeffs: np.ndarray
 
-    @property
-    def padded_shape(self):
-        return self.coeffs.shape
 
-    def freqs(self):
-        """Angular frequency axes of the padded reciprocal grid."""
-        return tuple(
-            _TWO_PI * np.fft.fftfreq(n, d=h)
-            for n, h in zip(self.coeffs.shape, self.spec.spacing))
-
-    def hermitian_asymmetry(self):
-        """max |c(p) - conj(c(-p))| / max|c|; ~1e-16 for real input."""
-        flipped = self.coeffs.copy()
-        for ax in range(3):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        denom = float(np.max(np.abs(self.coeffs)))
-        if denom == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs - np.conj(flipped)))) / denom
-
-
-def spectral(field, pad=2):
-    """Zero-padded plain transform of a ScalarField (pad >= 2 keeps the
+def spectral(field):
+    """Zero-padded plain transform of a ScalarField (padding 2 keeps the
     truncated-kernel convolution alias-free for in-box supports)."""
-    if pad < 1 or int(pad) != pad:
-        raise ValueError(f"pad must be a positive integer, got {pad}")
-    spec = field.spec
-    shape = tuple(pad * n for n in spec.dims)
-    padded = np.zeros(shape, dtype=float)
-    padded[: spec.dims[0], : spec.dims[1], : spec.dims[2]] = field.values
-    coeffs = np.fft.fftn(padded) * spec.cell_volume
-    return SpectralField(spec=spec, pad=pad, coeffs=coeffs)
-
-
-def _truncation_radius(spec):
-    # diagonal of the original (unpadded) box
-    return float(np.linalg.norm(spec.box_lengths))
-
-
-def _kernel_values(psq, radius):
-    """(1 - cos(R|p|))/|p|^2 with the analytic value R^2/2 at p = 0."""
-    out = np.empty_like(psq)
-    nz = psq > 0.0
-    out[nz] = (1.0 - np.cos(radius * np.sqrt(psq[nz]))) / psq[nz]
-    out[~nz] = 0.5 * radius**2
-    return out
+    coeffs = _fft.fftn(field.values, s=_engine(field.spec).shape, workers=_fft_workers())
+    return SpectralField(spec=field.spec, coeffs=coeffs * field.spec.cell_volume)
 
 
 def _check_support(field):
@@ -119,41 +130,41 @@ def hartree(rho, spec=None):
     """
     field = _as_field(rho, spec)
     _check_support(field)
-    gspec = field.spec
-    n1, n2, n3 = gspec.dims
-    padded = np.zeros((2 * n1, 2 * n2, 2 * n3), dtype=float)
-    padded[:n1, :n2, :n3] = field.values
-    radius = _truncation_radius(gspec)
-    axes = [_TWO_PI * np.fft.fftfreq(2 * n, d=h)
-            for n, h in zip(gspec.dims, gspec.spacing)]
-    psq = (axes[0][:, None, None] ** 2 + axes[1][None, :, None] ** 2
-           + axes[2][None, None, :] ** 2)
-    kernel = 4.0 * math.pi * _kernel_values(psq, radius)
-    pot = np.fft.ifftn(np.fft.fftn(padded) * kernel).real[:n1, :n2, :n3]
-    return 0.5 * gspec.cell_volume * float(np.sum(field.values * pot))
+    engine = _engine(field.spec)
+    workers = _fft_workers()
+    coeffs = _fft.rfftn(field.values, s=engine.shape, workers=workers)
+    coeffs *= engine.kernel
+    n1, n2, n3 = field.spec.dims
+    pot = _fft.irfftn(coeffs, s=engine.shape, workers=workers)[:n1, :n2, :n3]
+    return 0.5 * field.spec.cell_volume * float(np.sum(field.values * pot))
 
 
 def kernel_moment(spectral_field, kvecs):
     """I(k) = int |rhohat(p)|^2 (1 - cos(R|p-k|))/|p-k|^2 dp for each row k.
 
     rhohat is the unitary-convention transform; 2*pi*I(0) reproduces the
-    truncated-kernel Hartree value of the same field.
+    truncated-kernel Hartree value of the same field.  I(-k) = I(k) for a
+    real density, so each +-k pair is evaluated once, at the lexicographically
+    larger of the two; on the grid they differ only through the Nyquist
+    planes, which carry no weight for a resolved field.
     """
     kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
     if kvecs.shape[1] != 3:
         raise ValueError("kvecs must be (n, 3)")
-    radius = _truncation_radius(spectral_field.spec)
-    fx, fy, fz = spectral_field.freqs()
+    engine = _engine(spectral_field.spec)
+    fx, fy, fz = engine.freqs
     asq = np.abs(spectral_field.coeffs) ** 2
-    vol_pad = (spectral_field.spec.cell_volume
-               * float(np.prod(spectral_field.padded_shape)))
-    out = np.empty(len(kvecs))
-    for i, k in enumerate(kvecs):
-        psq = ((fx[:, None, None] - k[0]) ** 2
-               + (fy[None, :, None] - k[1]) ** 2
-               + (fz[None, None, :] - k[2]) ** 2)
-        # (2 pi)^{-3} int |A|^2 K dp  ->  (1/V_pad) sum |A|^2 K
-        out[i] = float(np.sum(asq * _kernel_values(psq, radius))) / vol_pad
+    keys = [max(tuple(k), tuple(-k)) for k in kvecs]
+    moments = {}
+    for k in keys:
+        if k not in moments:
+            psq = ((fx[:, None, None] - k[0]) ** 2
+                   + (fy[None, :, None] - k[1]) ** 2
+                   + (fz[None, None, :] - k[2]) ** 2)
+            # (2 pi)^{-3} int |A|^2 K dp  ->  (1/V_pad) sum |A|^2 K
+            moments[k] = float(
+                np.sum(asq * _kernel_values(psq, engine.radius))) / engine.pad_volume
+    out = np.array([moments[k] for k in keys])
     return out if out.size > 1 else float(out[0])
 
 

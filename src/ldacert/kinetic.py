@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 
-from .bounds import KAPPA_1, KAPPA_2, c_tf
+from .bounds import KAPPA_1, KAPPA_2, _spin, _tf_coefficient, c_tf
 
 
 class SolverError(RuntimeError):
@@ -202,14 +202,14 @@ def t_upper(F, eps, d=3, q=1, variant="general",
         raise ValueError(f"eps must be positive, got {eps}")
     l = _power_integral(F, d)
     if variant == "general":
-        return (q ** (-2.0 / d) * c_tf(d) * (1.0 + kappa1 * eps) * l
+        return (_spin(q) ** (-2.0 / d) * c_tf(d) * (1.0 + kappa1 * eps) * l
                 + kappa2 * (1.0 + math.sqrt(eps)) ** 2 / eps * F.kin)
     if variant == "3d-small-eps":
         if d != 3:
             raise ValueError("variant 3d-small-eps requires d=3")
         if eps > 1.0:
             raise ValueError(f"variant 3d-small-eps requires eps <= 1, got {eps}")
-        return (q ** (-2.0 / 3.0) * c_tf(3) * (1.0 + eps**2 / 15.0) * l
+        return (_tf_coefficient(q) * (1.0 + eps**2 / 15.0) * l
                 + 19.0 / eps**2 * F.kin)
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -218,7 +218,7 @@ def t_lower_lt(F, q=1, c=None, d=3):
     """Lieb-Thirring kinetic lower bound; c defaults to the conjectured c_TF."""
     if c is None:
         c = c_tf(d)
-    return q ** (-2.0 / d) * c * _power_integral(F, d)
+    return _spin(q) ** (-2.0 / d) * c * _power_integral(F, d)
 
 
 def t_lower_nam(F, eps, q=1, kappa=1.0, d=3):
@@ -227,7 +227,7 @@ def t_lower_nam(F, eps, q=1, kappa=1.0, d=3):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return (q ** (-2.0 / d) * c_tf(d) * (1.0 - eps) * _power_integral(F, d)
+    return (_spin(q) ** (-2.0 / d) * c_tf(d) * (1.0 - eps) * _power_integral(F, d)
             - kappa / eps ** (3.0 + 4.0 / d) * F.kin)
 
 

@@ -76,6 +76,16 @@ def test_e_envelope_bracket():
     assert lo <= hi
 
 
+def test_spin_degeneracy_below_one_rejected(gauss_F):
+    # every q^{-2/3} and q^{-1/3} site checks q, so q = 0 is a ValueError,
+    # not a ZeroDivisionError
+    for call in (lambda: bounds.e_envelope(1.0, q=0),
+                 lambda: bounds.energy_lower(gauss_F, q=0),
+                 lambda: bounds.b_dirac(0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            call()
+
+
 def test_lieb_oxford_gradient_bound(gauss_F):
     val, improves = bounds.lieb_oxford_gradient_bound(gauss_F, 0.1)
     assert val > 0.0

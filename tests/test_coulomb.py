@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -36,6 +37,78 @@ def test_kernel_moment_zero_matches_hartree():
     sf = coulomb.spectral(field.density_to_field(rho, spec))
     mom = coulomb.kernel_moment(sf, np.zeros((1, 3)))
     assert 2.0 * math.pi * float(np.real(mom)) == pytest.approx(num, rel=1e-10)
+
+
+def _truncated_kernel(psq, radius):
+    out = np.full_like(psq, 0.5 * radius**2)
+    nz = psq > 0.0
+    out[nz] = (1.0 - np.cos(radius * np.sqrt(psq[nz]))) / psq[nz]
+    return out
+
+
+def _padded_geometry(spec):
+    shape = tuple(2 * n for n in spec.dims)
+    fx, fy, fz = (2.0 * math.pi * np.fft.fftfreq(n, d=h)
+                  for n, h in zip(shape, spec.spacing))
+    return shape, fx, fy, fz, float(np.linalg.norm(spec.box_lengths))
+
+
+def _hartree_reference(fld):
+    """Full complex FFT of the hand-padded field, kernel built in place."""
+    shape, fx, fy, fz, radius = _padded_geometry(fld.spec)
+    n1, n2, n3 = fld.spec.dims
+    padded = np.zeros(shape)
+    padded[:n1, :n2, :n3] = fld.values
+    psq = fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz[None, None, :] ** 2
+    kernel = 4.0 * math.pi * _truncated_kernel(psq, radius)
+    pot = np.fft.ifftn(np.fft.fftn(padded) * kernel).real[:n1, :n2, :n3]
+    return 0.5 * fld.spec.cell_volume * float(np.sum(fld.values * pot))
+
+
+@pytest.mark.parametrize("rho", [field.Density.gaussian(1.0, 1.0),
+                                 field.Density.compact_bump(1.0, 1.3)],
+                         ids=["gaussian", "compact_bump"])
+def test_hartree_matches_complex_fft_reference(rho):
+    fld = field.density_to_field(rho, field.default_grid(rho, 32))
+    assert coulomb.hartree(fld) == pytest.approx(_hartree_reference(fld), rel=1e-13)
+
+
+def test_hartree_builds_kernel_once_per_grid(monkeypatch):
+    rho = field.Density.gaussian(1.0, 1.0)
+    spec = field.default_grid(rho, 24)
+    builds = []
+
+    def counting(psq, radius):
+        builds.append(psq.shape)
+        return kernel_values(psq, radius)
+
+    kernel_values = coulomb._kernel_values
+    monkeypatch.setattr(coulomb, "_kernel_values", counting)
+    coulomb._engine.cache_clear()
+    values = []
+    for workers in ("1", "2", "1"):
+        monkeypatch.setenv("LDA_CERT_THREADS", workers)
+        values.append(coulomb.hartree(rho, spec))
+    assert builds == [(48, 48, 25)]  # the rfftn half-grid of the padded box
+    assert values[0] == values[1] == values[2]
+
+
+def test_kernel_moment_pairs_match_unpaired_reference():
+    rho = field.Density.gaussian(1.0, 1.0)
+    spec = field.default_grid(rho, 32)
+    sf = coulomb.spectral(field.density_to_field(rho, spec))
+    m = np.array([mm for mm in itertools.product((-1, 0, 1), repeat=3) if any(mm)])
+    kvecs = (2.0 * math.pi / 4.0) * m
+    got = coulomb.kernel_moment(sf, kvecs)
+
+    shape, fx, fy, fz, radius = _padded_geometry(spec)
+    asq = np.abs(sf.coeffs) ** 2
+    vol_pad = spec.cell_volume * float(np.prod(shape))
+    for k, value in zip(kvecs, got):
+        psq = ((fx[:, None, None] - k[0]) ** 2 + (fy[None, :, None] - k[1]) ** 2
+               + (fz[None, None, :] - k[2]) ** 2)
+        want = float(np.sum(asq * _truncated_kernel(psq, radius))) / vol_pad
+        assert value == pytest.approx(want, rel=1e-14), k
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])

@@ -91,3 +91,10 @@ def test_kinetic_band_zero_density():
     F = field.FunctionalSet(mass=0, l2=0, l43=0, l53=0, kin=0, tv=0, thg=0,
                             theta=0.5, p=4.0)
     assert kinetic.kinetic_band(F)[:2] == (0.0, 0.0)
+
+
+def test_kinetic_band_rejects_q_below_one(gauss_F):
+    with pytest.raises(ValueError, match="at least 1"):
+        kinetic.kinetic_band(gauss_F, q=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        kinetic.t_lower_lt(gauss_F, q=0.5)
