@@ -170,7 +170,7 @@ def energy_upper(F, eps, q=1):
     """Variational ceiling at mixing parameter eps (convex in eps)."""
     from . import kinetic
 
-    return kinetic.t_upper(F, eps, d=3, q=q, variant="general")
+    return kinetic.t_upper(F, eps, q=q, variant="general")
 
 
 def energy_upper_min(F, q=1, n_grid=400, refine=True):

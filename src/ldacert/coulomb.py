@@ -24,6 +24,9 @@ from scipy import integrate as _sciint
 from .field import Density, ScalarField, SupportError, density_to_field
 
 _TWO_PI = 2.0 * math.pi
+# the periodic identity support-checks its shifted fields in blocks of at
+# most this many grid values (16 MB of float64)
+_CHECK_BLOCK = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +101,23 @@ def spectral(field):
     return SpectralField(spec=field.spec, coeffs=coeffs * field.spec.cell_volume)
 
 
-def _check_support(field):
-    """Boundary-layer mass must be negligible for the truncated kernel."""
-    vals = np.abs(field.values)
-    total = float(np.sum(vals))
-    if total == 0.0:
-        return
+def _check_support(values):
+    """Boundary-layer mass must be negligible for the truncated kernel.
+
+    values holds one field, or a stack of fields along leading axes; every
+    field of the stack is checked.
+    """
+    vals = np.abs(values)
+    total = vals.sum(axis=(-3, -2, -1))
     boundary = (
-        float(np.sum(vals[0, :, :])) + float(np.sum(vals[-1, :, :]))
-        + float(np.sum(vals[:, 0, :])) + float(np.sum(vals[:, -1, :]))
-        + float(np.sum(vals[:, :, 0])) + float(np.sum(vals[:, :, -1])))
-    if boundary > 1e-6 * total:
+        vals[..., 0, :, :].sum(axis=(-2, -1)) + vals[..., -1, :, :].sum(axis=(-2, -1))
+        + vals[..., :, 0, :].sum(axis=(-2, -1)) + vals[..., :, -1, :].sum(axis=(-2, -1))
+        + vals[..., :, :, 0].sum(axis=(-2, -1)) + vals[..., :, :, -1].sum(axis=(-2, -1)))
+    leaks = boundary > 1e-6 * total
+    if np.any(leaks):
+        share = float(np.max(boundary[leaks] / total[leaks]))
         raise SupportError(
-            f"boundary cells hold {boundary / total:.3e} of the mass; "
+            f"boundary cells hold {share:.3e} of the mass; "
             "density support must stay inside the grid box")
 
 
@@ -122,6 +129,21 @@ def _as_field(rho, spec=None):
     raise TypeError(f"expected Density or ScalarField, got {type(rho).__name__}")
 
 
+def _potential(values, spec):
+    """Truncated-kernel potential of real fields on the grid of spec.
+
+    values holds one field, or a stack of fields along leading axes.  Each
+    is zero-padded to the engine shape, multiplied by the cached kernel on
+    the rfftn half-grid and cropped back to the box.
+    """
+    engine = _engine(spec)
+    workers = _fft_workers()
+    coeffs = _fft.rfftn(values, s=engine.shape, workers=workers)
+    coeffs *= engine.kernel
+    n1, n2, n3 = spec.dims
+    return _fft.irfftn(coeffs, s=engine.shape, workers=workers)[..., :n1, :n2, :n3]
+
+
 def hartree(rho, spec=None):
     """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy, >= 0.
 
@@ -129,13 +151,8 @@ def hartree(rho, spec=None):
     the density leaks into the boundary cell layer of its box.
     """
     field = _as_field(rho, spec)
-    _check_support(field)
-    engine = _engine(field.spec)
-    workers = _fft_workers()
-    coeffs = _fft.rfftn(field.values, s=engine.shape, workers=workers)
-    coeffs *= engine.kernel
-    n1, n2, n3 = field.spec.dims
-    pot = _fft.irfftn(coeffs, s=engine.shape, workers=workers)[:n1, :n2, :n3]
+    _check_support(field.values)
+    pot = _potential(field.values, field.spec)
     return 0.5 * field.spec.cell_volume * float(np.sum(field.values * pot))
 
 
@@ -194,6 +211,15 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     a tensor Gauss-Legendre rule (n_tau >= 8 nodes per axis), rhs is
     2 pi sum_m |c_m|^2 I(2 pi m/ell) with the same truncated kernel.
     Returns (lhs, rhs).
+
+    D is a quadratic form, so the lhs takes no Hartree call per node.  A
+    +-m pair adds Re(g_m e^{-i theta.tau} u_m) to f(.-tau) rho, with
+    theta = 2 pi m/ell, u_m = e^{i theta.x} rho and g_m = c_m + conj(c_{-m})
+    (g_0 = c_0).
+    Every shifted field is therefore a(tau) . r over the real basis
+    r = (Re u_m, Im u_m), and D of it is a^T G a with
+    G_jk = (1/2) V sum_x r_j (K * r_k): one convolution per basis field.
+    Each shifted field still passes the support check.
     """
     if n_tau < 8:
         raise ValueError(f"need at least 8 Gauss nodes per axis, got {n_tau}")
@@ -201,33 +227,47 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
         raise ValueError(f"ell must be positive, got {ell}")
     modes = _validate_mode_coeffs(f_coeffs)
     field = _as_field(rho, spec)
-    _check_support(field)
-
-    nodes, weights = np.polynomial.legendre.leggauss(n_tau)
-    tau_ax = 0.5 * ell * (nodes + 1.0)
-    w_ax = 0.5 * weights  # averages to 1 over [0, ell]
-
-    xg, yg, zg = field.spec.meshgrid()
-    mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
-                 if c != 0.0]
-
-    lhs = 0.0
-    for i1, t1 in enumerate(tau_ax):
-        for i2, t2 in enumerate(tau_ax):
-            for i3, t3 in enumerate(tau_ax):
-                f_vals = np.zeros(field.spec.dims, dtype=complex)
-                for m, c in mode_list:
-                    phase = (_TWO_PI / ell) * (
-                        m[0] * (xg - t1) + m[1] * (yg - t2) + m[2] * (zg - t3))
-                    f_vals += c * np.exp(1j * phase)
-                shifted = ScalarField(field.spec, f_vals.real * field.values)
-                lhs += (w_ax[i1] * w_ax[i2] * w_ax[i3]) * hartree(shifted)
+    _check_support(field.values)
 
     sf = spectral(field)
+    mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
+                 if c != 0.0]
     kvecs = np.array([(_TWO_PI / ell) * m for m, _ in mode_list])
     moments = np.atleast_1d(kernel_moment(sf, kvecs))
     rhs = _TWO_PI * float(
         sum(abs(c) ** 2 * mom for (_, c), mom in zip(mode_list, moments)))
+
+    nodes, weights = np.polynomial.legendre.leggauss(n_tau)
+    tau_ax = 0.5 * ell * (nodes + 1.0)
+    w_ax = 0.5 * weights  # averages to 1 over [0, ell]
+    taus = np.stack(np.meshgrid(tau_ax, tau_ax, tau_ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    w_tau = (w_ax[:, None, None] * w_ax[None, :, None] * w_ax[None, None, :]).ravel()
+
+    pairs = {}
+    for m, c in modes.items():
+        rep = max(m, tuple(-c_ for c_ in m))
+        pairs[rep] = pairs.get(rep, 0.0) + (c if m == rep else np.conj(c))
+    xg, yg, zg = field.spec.meshgrid()
+    basis, coeffs = [], []
+    for m, g in pairs.items():
+        if g == 0.0:
+            continue
+        theta = (_TWO_PI / ell) * np.array(m, dtype=float)
+        a = g * np.exp(-1j * (taus @ theta))
+        u = np.exp(1j * (theta[0] * xg + theta[1] * yg + theta[2] * zg)) * field.values
+        basis += [u.real, u.imag]
+        coeffs += [a.real, -a.imag]
+    basis = np.stack(basis)
+    flat = basis.reshape(len(basis), -1)
+    coeffs = np.stack(coeffs, axis=1)  # (nodes, basis fields)
+
+    step = max(1, _CHECK_BLOCK // flat.shape[1])
+    for lo in range(0, len(coeffs), step):
+        _check_support((coeffs[lo:lo + step] @ flat).reshape(-1, *field.spec.dims))
+
+    pots = _potential(basis, field.spec).reshape(len(basis), -1)
+    gram = 0.5 * field.spec.cell_volume * (flat @ pots.T)
+    lhs = float(np.sum(w_tau * np.sum((coeffs @ gram) * coeffs, axis=1)))
     return lhs, rhs
 
 

@@ -179,56 +179,46 @@ def remark_b(eps):
 
 
 # ---------------------------------------------------------------------------
-# kinetic-energy bound evaluators (d = 3 uses F.l53 as the 1+2/d integral)
+# kinetic-energy bound evaluators, in d = 3: F.l53 is the int rho^{1+2/d}
+# integral
 
 
-def _power_integral(F, d):
-    if d != 3:
-        raise ValueError(
-            f"FunctionalSet carries int rho^(5/3) only; d={d} unsupported")
-    return F.l53
-
-
-def t_upper(F, eps, d=3, q=1, variant="general",
-            kappa1=KAPPA_1, kappa2=KAPPA_2):
+def t_upper(F, eps, q=1, variant="general", kappa1=KAPPA_1, kappa2=KAPPA_2):
     """Semiclassical upper bound on the lowest kinetic energy.
 
-    general:       q^{-2/d} c_TF (1 + kappa1*eps) * int rho^{1+2/d}
+    general:       q^{-2/3} c_TF (1 + kappa1*eps) * l53
                    + kappa2 (1+sqrt(eps))^2/eps * kin
     3d-small-eps:  q^{-2/3} c_TF (1 + eps^2/15) * l53 + (19/eps^2) * kin,
                    valid for eps <= 1 (shifted-envelope route).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    l = _power_integral(F, d)
     if variant == "general":
-        return (_spin(q) ** (-2.0 / d) * c_tf(d) * (1.0 + kappa1 * eps) * l
+        return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 + kappa1 * eps) * F.l53
                 + kappa2 * (1.0 + math.sqrt(eps)) ** 2 / eps * F.kin)
     if variant == "3d-small-eps":
-        if d != 3:
-            raise ValueError("variant 3d-small-eps requires d=3")
         if eps > 1.0:
             raise ValueError(f"variant 3d-small-eps requires eps <= 1, got {eps}")
-        return (_tf_coefficient(q) * (1.0 + eps**2 / 15.0) * l
+        return (_tf_coefficient(q) * (1.0 + eps**2 / 15.0) * F.l53
                 + 19.0 / eps**2 * F.kin)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def t_lower_lt(F, q=1, c=None, d=3):
+def t_lower_lt(F, q=1, c=None):
     """Lieb-Thirring kinetic lower bound; c defaults to the conjectured c_TF."""
     if c is None:
-        c = c_tf(d)
-    return _spin(q) ** (-2.0 / d) * c * _power_integral(F, d)
+        c = c_tf(3)
+    return _spin(q) ** (-2.0 / 3) * c * F.l53
 
 
-def t_lower_nam(F, eps, q=1, kappa=1.0, d=3):
+def t_lower_nam(F, eps, q=1, kappa=1.0):
     """Gradient-corrected semiclassical lower bound (kappa is a free knob)."""
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return (_spin(q) ** (-2.0 / d) * c_tf(d) * (1.0 - eps) * _power_integral(F, d)
-            - kappa / eps ** (3.0 + 4.0 / d) * F.kin)
+    return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 - eps) * F.l53
+            - kappa / eps ** (3.0 + 4.0 / 3) * F.kin)
 
 
 def t_lower_ho(F):
@@ -236,7 +226,7 @@ def t_lower_ho(F):
     return F.kin
 
 
-def kinetic_band(F, q=1, d=3, kappa=1.0, n_grid=200):
+def kinetic_band(F, q=1, kappa=1.0, n_grid=200):
     """Two-sided bracket on the lowest kinetic energy.
 
     eps is optimized on a log grid in [1e-4, 1], independently for the
@@ -247,9 +237,9 @@ def kinetic_band(F, q=1, d=3, kappa=1.0, n_grid=200):
     if F.mass == 0.0 and F.kin == 0.0:
         return 0.0, 0.0, None, None
     grid = np.logspace(-4.0, 0.0, n_grid)
-    nam = np.array([t_lower_nam(F, e, q, kappa, d) for e in grid[grid < 1.0]])
+    nam = np.array([t_lower_nam(F, e, q, kappa) for e in grid[grid < 1.0]])
     lower_candidates = {
-        "lt": (t_lower_lt(F, q, None, d), None),
+        "lt": (t_lower_lt(F, q), None),
         "ho": (t_lower_ho(F), None),
     }
     if nam.size:
@@ -259,9 +249,9 @@ def kinetic_band(F, q=1, d=3, kappa=1.0, n_grid=200):
 
     uppers = []
     for e in grid:
-        u = t_upper(F, e, d, q, "general")
-        if d == 3 and e <= 1.0:
-            u = min(u, t_upper(F, e, d, q, "3d-small-eps"))
+        u = t_upper(F, e, q, "general")
+        if e <= 1.0:
+            u = min(u, t_upper(F, e, q, "3d-small-eps"))
         uppers.append(u)
     i = int(np.argmin(uppers))
     upper, eps_upper = float(uppers[i]), float(grid[i])

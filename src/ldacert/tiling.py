@@ -714,9 +714,11 @@ def _tetra_fourier_batch(verts, kvecs):
         denom = np.prod(d, axis=2)
         out[main] = -6.0j * vol * np.sum(np.exp(-1j * a[main]) / denom, axis=1)
 
-    for i in np.nonzero(~main)[0]:
-        z = np.diag(-1j * a[i]) + np.diag(np.ones(3), 1)
-        out[i] = 6.0 * vol * expm(z)[0, 3]
+    conf = ~main
+    z = np.zeros((int(conf.sum()), 4, 4), dtype=complex)
+    z[:, np.arange(4), np.arange(4)] = -1j * a[conf]
+    z[:, np.arange(3), np.arange(1, 4)] = 1.0
+    out[conf] = 6.0 * vol * expm(z)[:, 0, 3]
     return _UNITARY * out
 
 

@@ -151,3 +151,48 @@ def test_periodic_identity_rejects_non_hermitian():
         coulomb.periodic_localization_identity(
             rho, {(1, 0, 0): 1.0 + 0.5j}, ell=16.0,
             spec=field.default_grid(rho, 24))
+
+
+def _periodic_identity_lhs_reference(rho, f_coeffs, ell, spec, n_tau):
+    """The lhs by brute force: one hartree call per Gauss node on the
+    shifted field Re(sum_m c_m e^{2i pi m.(x - tau)/ell}) rho(x)."""
+    fld = field.density_to_field(rho, spec)
+    nodes, weights = np.polynomial.legendre.leggauss(n_tau)
+    tau_ax = 0.5 * ell * (nodes + 1.0)
+    w_ax = 0.5 * weights
+    xg, yg, zg = spec.meshgrid()
+    lhs = 0.0
+    for (t1, w1), (t2, w2), (t3, w3) in itertools.product(zip(tau_ax, w_ax), repeat=3):
+        f_vals = np.zeros(spec.dims, dtype=complex)
+        for m, c in f_coeffs.items():
+            phase = (2.0 * math.pi / ell) * (
+                m[0] * (xg - t1) + m[1] * (yg - t2) + m[2] * (zg - t3))
+            f_vals += c * np.exp(1j * phase)
+        shifted = field.ScalarField(spec, f_vals.real * fld.values)
+        lhs += w1 * w2 * w3 * coulomb.hartree(shifted)
+    return lhs
+
+
+def test_periodic_identity_matches_brute_force_average():
+    rho = field.Density.gaussian(1.0, 1.0)
+    spec = field.default_grid(rho, 16)
+    coeffs = {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j,
+              (2, -1, 1): 0.1 - 0.25j, (-2, 1, -1): 0.1 + 0.25j}
+    lhs, rhs = coulomb.periodic_localization_identity(rho, coeffs, ell=12.0, spec=spec, n_tau=9)
+    want = _periodic_identity_lhs_reference(rho, coeffs, 12.0, spec, 9)
+    assert lhs == pytest.approx(want, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-2)
+
+
+def test_periodic_identity_checks_every_shifted_field():
+    # The unshifted density keeps 3.1e-7 of its mass on the boundary layer,
+    # under the 1e-6 limit; f(x - tau) = 1 - cos(2 pi (x - tau)/ell) nearly
+    # vanishes at the centre for the first node and lifts the x faces, so a
+    # shifted field holds 2.4e-6 there.
+    rho = field.Density.gaussian(1.0, 1.0)
+    half = 5.5
+    spec = field.GridSpec((24, 24, 24), (2.0 * half / 23,) * 3, (-half,) * 3)
+    coulomb.hartree(rho, spec)
+    coeffs = {(0, 0, 0): 1.0, (1, 0, 0): -0.5, (-1, 0, 0): -0.5}
+    with pytest.raises(field.SupportError):
+        coulomb.periodic_localization_identity(rho, coeffs, ell=4.0 * half, spec=spec)

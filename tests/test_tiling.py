@@ -84,6 +84,29 @@ def test_tetra_fourier_volume_at_zero():
     assert got == pytest.approx((2.0 * math.pi) ** -1.5 / 24.0, rel=1e-12)
 
 
+def test_tetra_fourier_confluent_rows_match_per_row_expm():
+    """The stacked matrix exponential equals one expm call per confluent row,
+    bit for bit, on the contracted tiles of a k_max = 3, eps = 0.15 sum."""
+    from scipy.linalg import expm
+
+    eps = 0.15
+    m = np.array([mm for mm in itertools.product(range(-3, 4), repeat=3) if any(mm)])
+    kv = 2.0 * math.pi * m
+    n_confluent = 0
+    for tile in tiling.unit_cube_tetrahedra():
+        verts = tile.centroid + (1.0 - eps) * (tile.vertices - tile.centroid)
+        got = tiling._tetra_fourier_batch(verts, kv)
+        vol = abs(tiling._signed_volume(verts))
+        for i, a in enumerate(kv @ verts.T):
+            gaps = np.abs(a[:, None] - a[None, :]) + 4.0 * np.eye(4)
+            if gaps.min() >= tiling._SEP_THRESHOLD:
+                continue
+            n_confluent += 1
+            z = np.diag(-1j * a) + np.diag(np.ones(3), 1)
+            assert got[i] == tiling._UNITARY * (6.0 * vol * expm(z)[0, 3]), (tile, i)
+    assert n_confluent == 4944
+
+
 def test_tetra_fourier_quadrature_oracle():
     """Duffy-collapsed 48^3 Gauss-Legendre quadrature of the same integral."""
     x, w = np.polynomial.legendre.leggauss(48)
