@@ -114,46 +114,6 @@ def e_envelope(rho0, q=1):
             _tf_coefficient(q) * rho0 ** (5.0 / 3.0))
 
 
-def model_lipschitz_probe(model, pairs=None, rng=None):
-    """Empirical sup of |e(r1)-e(r2)| / ((M^{1/3}+M^{2/3}) |r1-r2|), M=max.
-
-    pairs defaults to 200 log-uniform draws spanning [1e-3, 1e3].  A pair
-    with r1 == r2 is rejected: the quotient is undefined there.
-    """
-    if pairs is None:
-        rng = np.random.default_rng(20260818 if rng is None else rng)
-        pairs = 10.0 ** rng.uniform(-3.0, 3.0, size=(200, 2))
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] < 100:
-        raise ValueError("pairs must be an (n >= 100, 2) array")
-    r1, r2 = pairs[:, 0], pairs[:, 1]
-    if np.any(r1 == r2):
-        raise ValueError("pairs with identical entries are not allowed")
-    if np.any(pairs < 0):
-        raise ValueError("density values must be nonnegative")
-    m = np.maximum(r1, r2)
-    quot = np.abs(model.e(r1) - model.e(r2)) / (
-        (m ** (1.0 / 3.0) + m ** (2.0 / 3.0)) * np.abs(r1 - r2))
-    return float(np.max(quot))
-
-
-def model_continuity_probe(model, n=200, seed=20260818):
-    """Fitted constants for the two one-sided continuity inequalities.
-
-    For sampled 0 <= r' <= r the model should satisfy
-        e(r - r') <= e(r) + C_up * r' * r^{1/3}
-        e(r - r') >= e(r) - C_lo * (r^{1/3} + r^{2/3}) * r'
-    Returns (C_up, C_lo), each the smallest constant making its inequality
-    hold on the sample (0 if the inequality holds with slack already).
-    """
-    rng = np.random.default_rng(seed)
-    r = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-    rp = r * rng.uniform(1e-6, 1.0, size=n)
-    up = (model.e(r - rp) - model.e(r)) / (rp * r ** (1.0 / 3.0))
-    lo = (model.e(r) - model.e(r - rp)) / ((r ** (1.0 / 3.0) + r ** (2.0 / 3.0)) * rp)
-    return float(max(np.max(up), 0.0)), float(max(np.max(lo), 0.0))
-
-
 def energy_lower(F, q=1, c_lt=None):
     """Ground-state energy floor: q^{-2/3} c_LT l53 - c_LO l43.
 

@@ -1,10 +1,14 @@
 """Electrostatic self-energy and related convolution integrals.
 
-The direct (Hartree) term is computed spectrally on a zero-padded grid with
-a spherically truncated Coulomb kernel: truncation radius R = the original
-box diagonal removes all periodic images for densities supported inside the
-box, so the only error left is discretization.  Real FFTs carry the
-convolution, with the kernel built once per grid and cached.  The same
+The direct (Hartree) term is computed spectrally on a grid zero-padded to
+twice its dims per axis, with a spherically truncated Coulomb kernel of
+radius R = the original box diagonal (Vico, Greengard & Ferrando, J.
+Comput. Phys. 323, 2016).  That scheme is alias-free only when the padded
+length P satisfies P >= L + R, and R = sqrt(3) L breaks it for P = 2L, so
+periodic images still enter at a small relative level; see ROADMAP.md,
+"Alias-free Coulomb kernel".  The convolution runs as per-axis real and
+complex FFTs that skip the all-zero padding lines and crop before each
+inverse pass, with the kernel built once per grid and cached.  The same
 truncated kernel backs the reciprocal-space moment integrals and the
 translation-averaged localization identity.  The annulus convolution is an
 independent 1D radial reduction used by the tiling error analysis.
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
-from scipy import integrate as _sciint
 
 from .field import Density, ScalarField, SupportError, density_to_field
 
@@ -54,6 +57,27 @@ def _kernel_values(psq, radius):
     return out
 
 
+def _half_grid_kernel(freqs, radius):
+    """4 pi (1 - cos R|p|)/|p|^2 on the rfftn half-grid of the angular
+    frequency axes freqs (full fftfreq axes, any lengths).
+
+    Only the non-negative-frequency rows and columns of the first two axes
+    are evaluated.  fftfreq gives f[P - i] == -f[i] exactly, so |p|^2, and
+    with it the kernel, of every other row and column is a bitwise copy.
+    """
+    fx, fy, fz = freqs
+    p1, p2, p3 = len(fx), len(fy), len(fz)
+    h1, h2 = p1 // 2 + 1, p2 // 2 + 1
+    # the sign of the last-axis Nyquist entry drops out of |p|^2
+    psq = (fx[:h1, None, None] ** 2 + fy[None, :h2, None] ** 2
+           + fz[None, None, : p3 // 2 + 1] ** 2)
+    kernel = np.empty((p1, p2, p3 // 2 + 1))
+    kernel[:h1, :h2] = 4.0 * math.pi * _kernel_values(psq, radius)
+    kernel[:h1, h2:] = kernel[:h1, p2 - h2:0:-1]
+    kernel[h1:] = kernel[p1 - h1:0:-1]
+    return kernel
+
+
 class _Engine:
     """Padded transform geometry and truncated Coulomb kernel of one grid.
 
@@ -66,13 +90,10 @@ class _Engine:
         self.radius = float(np.linalg.norm(spec.box_lengths))
         self.pad_volume = spec.cell_volume * float(np.prod(self.shape))
         #: angular frequency axes of the full padded reciprocal grid
-        self.freqs = fx, fy, fz = tuple(
+        self.freqs = tuple(
             _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spec.spacing))
-        # rfftn half-grid; the sign of the Nyquist entry drops out of |p|^2
-        fz_half = fz[: self.shape[2] // 2 + 1]
-        psq = fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz_half[None, None, :] ** 2
-        #: 4 pi (1 - cos R|p|)/|p|^2 on the half-grid, shared by every caller
-        self.kernel = 4.0 * math.pi * _kernel_values(psq, self.radius)
+        #: the kernel on the rfftn half-grid, shared by every caller
+        self.kernel = _half_grid_kernel(self.freqs, self.radius)
         self.kernel.flags.writeable = False
 
 
@@ -95,8 +116,9 @@ class SpectralField:
 
 
 def spectral(field):
-    """Zero-padded plain transform of a ScalarField (padding 2 keeps the
-    truncated-kernel convolution alias-free for in-box supports)."""
+    """Zero-padded plain transform of a ScalarField on the engine's padded
+    grid (padding 2 with the diagonal truncation radius is not alias-free;
+    see the module docstring)."""
     coeffs = _fft.fftn(field.values, s=_engine(field.spec).shape, workers=_fft_workers())
     return SpectralField(spec=field.spec, coeffs=coeffs * field.spec.cell_volume)
 
@@ -135,13 +157,29 @@ def _potential(values, spec):
     values holds one field, or a stack of fields along leading axes.  Each
     is zero-padded to the engine shape, multiplied by the cached kernel on
     the rfftn half-grid and cropped back to the box.
+
+    The transforms run axis by axis in pocketfft's own rfftn/irfftn order,
+    so every line kept goes through the same 1D plan on the same data and
+    the result equals irfftn(rfftn(values, s) * kernel, s) cropped.  Lines
+    that are all padding zeros on the way in, or cropped away on the way
+    out, are never transformed, and the 1/(P1 P2 P3) scale is applied once
+    at the end, rounded from long double as pocketfft rounds it.
     """
     engine = _engine(spec)
     workers = _fft_workers()
-    coeffs = _fft.rfftn(values, s=engine.shape, workers=workers)
-    coeffs *= engine.kernel
+    p1, p2, p3 = engine.shape
     n1, n2, n3 = spec.dims
-    return _fft.irfftn(coeffs, s=engine.shape, workers=workers)[..., :n1, :n2, :n3]
+    coeffs = _fft.rfft(values, n=p3, axis=-1, workers=workers)
+    coeffs = _fft.fft(coeffs, n=p1, axis=-3, workers=workers)
+    coeffs = _fft.fft(coeffs, n=p2, axis=-2, workers=workers)
+    coeffs *= engine.kernel
+    coeffs = _fft.ifft(coeffs, axis=-3, norm="forward", overwrite_x=True,
+                       workers=workers)[..., :n1, :, :]
+    coeffs = _fft.ifft(coeffs, axis=-2, norm="forward", overwrite_x=True,
+                       workers=workers)[..., :n2, :]
+    pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward", workers=workers)[..., :n3]
+    pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
+    return pot
 
 
 def hartree(rho, spec=None):
@@ -291,6 +329,8 @@ def _segment_integral(p, q):
     integrand smooth and exponentially decaying; away from it the direct
     form is already smooth.
     """
+    from scipy import integrate as _sciint
+
     if q <= p:
         return 0.0
     if min(abs(p - 1.0), abs(q - 1.0)) > 0.25:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _sciint
 
 
 class GridFormatError(ValueError):
@@ -174,6 +173,8 @@ def gaussian_hartree(sigma, mass):
 @lru_cache(maxsize=64)
 def _bump_radial_table(radius, s_keys):
     # cached radial quadratures for the compact bump, keyed by exponent tuple
+    from scipy import integrate as _sciint
+
     out = {}
     for key, kind, a, b in s_keys:
         if kind == "pow":
@@ -534,12 +535,15 @@ def write_grid(field, path):
     spec = field.spec
     header = "LDA-GRID v1 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g" % (
         *spec.dims, *spec.spacing, *spec.origin)
-    flat = field.values.ravel(order="F")
+    flat = field.values.ravel(order="F").tolist()
+    full = len(flat) - len(flat) % 8
+    row = " ".join(["%.17g"] * 8) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, flat.size, 8):
-            fh.write(" ".join("%.17g" % v for v in flat[start:start + 8]))
-            fh.write("\n")
+        for start in range(0, full, 8):
+            fh.write(row % tuple(flat[start:start + 8]))
+        if full < len(flat):
+            fh.write(" ".join("%.17g" % v for v in flat[full:]) + "\n")
 
 
 def read_grid(path):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import optimize as _sciopt
 
 from .bounds import KAPPA_1, KAPPA_2, _spin, _tf_coefficient, c_tf
 
@@ -125,6 +123,8 @@ def moments(env, d=3):
     fisher = int t^2 eta'^2/eta, fisher0 = int eta'^2/eta; on the parabolic
     lobes eta'^2/eta = 4c identically, so fisher0 = 8c*eps = 12/eps^2.
     """
+    from scipy import integrate as _sciint
+
     if d < 1 or int(d) != d:
         raise ValueError(f"d must be a positive integer, got {d}")
     a, eps = env.a, env.eps
@@ -157,6 +157,8 @@ def solve_b(eps, d=3):
     Only odd powers appear: about its centre mu = 1 + eps (1 - b) the
     envelope is a symmetric weight, so mu is a series in eps^2.
     """
+    from scipy import optimize as _sciopt
+
     if not (0 < eps <= 0.5):
         raise ValueError(f"need 0 < eps <= 0.5, got {eps}")
 

@@ -33,26 +33,18 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.linalg import expm
 
 __all__ = [
     "GeometryError",
-    "Isometry",
     "Tetra",
     "TilingConfig",
     "reference_tetra",
-    "centered_reference",
     "unit_cube_tetrahedra",
     "mollifier_value",
     "mollifier_hat",
     "convolved_indicator",
-    "chi",
-    "xi",
     "chi_values",
     "xi_values",
-    "chi_grad_values",
     "chi_mass",
     "sqrt_chi_grad_norm",
     "partition_residual",
@@ -90,46 +82,16 @@ def reference_tetra():
     )
 
 
-def centered_reference():
-    """Reference tetrahedron translated so its centroid sits at the origin."""
-    ref = reference_tetra()
-    return ref - ref.mean(axis=0)
-
-
 def _signed_volume(vertices):
     d = vertices[1:] - vertices[0]
     return np.linalg.det(d) / 6.0
 
 
 @dataclass(frozen=True)
-class Isometry:
-    """Proper rigid motion x -> R x + t."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise GeometryError("need a 3x3 rotation and a 3-vector translation")
-        if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-12:
-            raise GeometryError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-12:
-            raise GeometryError("rotation must have determinant +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, points):
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True)
 class Tetra:
-    """A tetrahedron plus the rigid motion taking the centered reference onto it."""
+    """A tetrahedron given by its four vertices."""
 
     vertices: np.ndarray
-    isometry: Isometry
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
@@ -160,13 +122,10 @@ def unit_cube_tetrahedra():
     """The 24-tile decomposition of the unit cube centered at the origin.
 
     One tetrahedron per (face, edge-of-face) pair of C1 = (-1/2, 1/2)^3,
-    spanned by the cube center, the face center and the edge endpoints.
-    Each tile stores the proper rotation + translation mapping the
-    centered reference tetrahedron onto it.
+    spanned by the cube center, the face center and the edge endpoints,
+    with the edge endpoints ordered so the vertices are positively
+    oriented, like those of the reference tetrahedron.
     """
-    ref = reference_tetra()
-    c_ref = ref.mean(axis=0)
-    m_ref_inv = np.linalg.inv(ref[1:].T)
     tiles = []
     for axis in range(3):
         for sign in (1.0, -1.0):
@@ -181,12 +140,9 @@ def unit_cube_tetrahedra():
                 corners.append(corner)
             for i in range(4):
                 c1, c2 = corners[i], corners[(i + 1) % 4]
-                rot = np.column_stack([fc, c1, c2]) @ m_ref_inv
-                if np.linalg.det(rot) < 0.0:
+                if np.linalg.det(np.array([fc, c1, c2])) < 0.0:
                     c1, c2 = c2, c1
-                    rot = np.column_stack([fc, c1, c2]) @ m_ref_inv
-                verts = np.array([np.zeros(3), fc, c1, c2])
-                tiles.append(Tetra(verts, Isometry(rot, rot @ c_ref)))
+                tiles.append(Tetra(np.array([np.zeros(3), fc, c1, c2])))
     return tuple(tiles)
 
 
@@ -227,6 +183,8 @@ class TilingConfig:
 
 @lru_cache(maxsize=1)
 def _mollifier_norm():
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda r: math.exp(-1.0 / (1.0 - r * r)) * r * r if r < 1.0 else 0.0,
         0.0,
@@ -253,6 +211,8 @@ _HAT_SMAX = 80.0
 
 @lru_cache(maxsize=1)
 def _mollifier_hat_spline():
+    from scipy.interpolate import CubicSpline
+
     s = np.arange(0.0, _HAT_SMAX + _HAT_STEP / 2, _HAT_STEP)
     x, w = leggauss(200)
     x = 0.5 * (x + 1.0)
@@ -266,6 +226,8 @@ def _mollifier_hat_spline():
 
 def mollifier_hat(s):
     """Unitary Fourier transform of eta_1, as a function of |k|."""
+    from scipy.integrate import quad
+
     s = np.abs(np.asarray(s, dtype=float))
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
@@ -296,6 +258,8 @@ def _profile_splines():
     k1(r) = int_r^1 eta_1(t) t dt
     j(r)  = int_r^1 g1(t) / t^2 dt
     """
+    from scipy.interpolate import CubicSpline
+
     n_sub = 1200
     knots = np.linspace(0.0, 1.0, n_sub + 1)
     x, w = leggauss(8)
@@ -570,15 +534,6 @@ def chi_values(cfg, j, points):
     return u / (1.0 - cfg.eps) ** 3
 
 
-def chi_grad_values(cfg, j, points):
-    """chi_j and its gradient, both exact up to profile-table accuracy."""
-    u, g = convolved_indicator(
-        _tile_vertices(cfg, j, True), cfg.smear_radius, points, want_grad=True
-    )
-    s = (1.0 - cfg.eps) ** -3
-    return u * s, g * s
-
-
 def xi_grad_values(cfg, j, points):
     """xi_j and its gradient (no shrink, no volume normalization)."""
     return convolved_indicator(
@@ -586,18 +541,8 @@ def xi_grad_values(cfg, j, points):
     )
 
 
-def chi(j, cfg, x):
-    """Point value of the regularized cutoff of tile j (j in 1..24)."""
-    return float(chi_values(cfg, j, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
-def xi(j, cfg, x):
-    """Point value of the smooth partition member of tile j (j in 1..24)."""
-    return float(xi_values(cfg, j, np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
 # ---------------------------------------------------------------------------
-# tile integrals (Duffy tensor rule on a fattened copy of the tile)
+# tile integrals (midpoint rule on the support box of the tile)
 
 
 def _support_box_grid(cfg, j, n):
@@ -696,6 +641,8 @@ def _tetra_fourier_batch(verts, kvecs):
     otherwise the confluent form via the matrix exponential of the
     bidiagonal phase matrix (stable for nearly equal phases).
     """
+    from scipy.linalg import expm
+
     verts = np.asarray(verts, dtype=float)
     vol = abs(_signed_volume(verts))
     if vol < 1e-14:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from ldacert import coulomb, field
 
@@ -89,8 +90,50 @@ def test_hartree_builds_kernel_once_per_grid(monkeypatch):
     for workers in ("1", "2", "1"):
         monkeypatch.setenv("LDA_CERT_THREADS", workers)
         values.append(coulomb.hartree(rho, spec))
-    assert builds == [(48, 48, 25)]  # the rfftn half-grid of the padded box
+    # the non-negative-frequency octant of the padded reciprocal grid
+    assert builds == [(25, 25, 25)]
     assert values[0] == values[1] == values[2]
+
+
+def _potential_reference(values, spec):
+    """The unpruned transform: rfftn of the whole padded box, kernel,
+    irfftn of the whole padded box, crop."""
+    engine = coulomb._engine(spec)
+    n1, n2, n3 = spec.dims
+    coeffs = scipy.fft.rfftn(values, s=engine.shape, axes=(-3, -2, -1)) * engine.kernel
+    return scipy.fft.irfftn(coeffs, s=engine.shape, axes=(-3, -2, -1))[..., :n1, :n2, :n3]
+
+
+@pytest.mark.parametrize("dims", [(17, 24, 9), (16, 16, 16), (15, 15, 15)])
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["single", "stacked"])
+def test_potential_equals_unpruned_transform(dims, stack):
+    spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
+    values = np.random.default_rng(sum(dims)).uniform(size=stack + dims)
+    got = coulomb._potential(values, spec)
+    assert got.shape == values.shape
+    np.testing.assert_array_equal(got, _potential_reference(values, spec))
+
+
+def _direct_half_grid_kernel(freqs, radius):
+    """The kernel evaluated at every point of the rfftn half-grid."""
+    fx, fy, fz = freqs
+    fz_half = fz[: len(fz) // 2 + 1]
+    psq = fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz_half[None, None, :] ** 2
+    return 4.0 * math.pi * coulomb._kernel_values(psq, radius)
+
+
+@pytest.mark.parametrize("shape", [(8, 12, 10), (9, 15, 7), (10, 7, 11)],
+                         ids=["even", "odd", "mixed"])
+def test_mirrored_kernel_equals_direct_evaluation(shape):
+    freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=h) for n, h in zip(shape, (0.3, 0.2, 0.25))]
+    np.testing.assert_array_equal(coulomb._half_grid_kernel(freqs, 1.7),
+                                  _direct_half_grid_kernel(freqs, 1.7))
+
+
+def test_engine_kernel_equals_direct_evaluation():
+    engine = coulomb._Engine(field.GridSpec((9, 12, 7), (0.3, 0.2, 0.25)))
+    np.testing.assert_array_equal(engine.kernel,
+                                  _direct_half_grid_kernel(engine.freqs, engine.radius))
 
 
 def test_kernel_moment_pairs_match_unpaired_reference():

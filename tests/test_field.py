@@ -102,6 +102,22 @@ def test_grid_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("dims", [(4, 4, 4), (3, 5, 7)], ids=["full-rows", "short-last-row"])
+def test_write_grid_matches_per_value_format(tmp_path, dims):
+    rng = np.random.default_rng(11)
+    values = rng.uniform(size=dims) * 10.0 ** rng.integers(-300, 300, size=dims)
+    values.flat[0] = 0.0
+    values.flat[-1] = 5e-324
+    spec = field.GridSpec(dims, (0.1, 0.2, 0.3), (-1.5, 0.25, 3.0))
+    path = tmp_path / "a.grid"
+    field.write_grid(field.ScalarField(spec, values), path)
+    flat = values.ravel(order="F")
+    lines = ["LDA-GRID v1 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g"
+             % (*dims, *spec.spacing, *spec.origin)]
+    lines += [" ".join("%.17g" % v for v in flat[i:i + 8]) for i in range(0, flat.size, 8)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_read_grid_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.grid"
     p.write_text("NOT-A-GRID v9 1 1 1\n0.0\n")
