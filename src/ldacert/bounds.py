@@ -126,28 +126,24 @@ def energy_lower(F, q=1, c_lt=None):
     return _spin(q) ** (-2.0 / 3.0) * c_lt * F.l53 - C_LO * F.l43, conjectured
 
 
-def energy_upper(F, eps, q=1):
-    """Variational ceiling at mixing parameter eps (convex in eps)."""
-    from . import kinetic
-
-    return kinetic.t_upper(F, eps, q=q, variant="general")
-
-
-def energy_upper_min(F, q=1, n_grid=400, refine=True):
-    """Minimize the ceiling over eps: log grid on [1e-4, 1e3], then a
-    golden-section polish between the argmin's neighbors (the curve is
-    convex in eps, so the bracket is sound)."""
+def energy_upper_min(F, q=1):
+    """Minimize the variational ceiling kinetic.t_upper(F, eps, q) over eps:
+    400-point log grid on [1e-4, 1e3], then a golden-section polish between
+    the argmin's neighbors (the curve is convex in eps, so the bracket is
+    sound)."""
     from scipy import optimize as _sciopt
 
-    grid = np.logspace(-4.0, 3.0, n_grid)
-    vals = np.array([energy_upper(F, e, q) for e in grid])
+    from . import kinetic
+
+    grid = np.logspace(-4.0, 3.0, 400)
+    vals = np.array([kinetic.t_upper(F, e, q) for e in grid])
     i = int(np.argmin(vals))
-    if not refine or F.kin == 0.0:
+    if F.kin == 0.0:
         return float(vals[i]), float(grid[i])
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_grid - 1)]
+    hi = grid[min(i + 1, len(grid) - 1)]
     res = _sciopt.minimize_scalar(
-        lambda e: energy_upper(F, e, q), bracket=None, bounds=(lo, hi),
+        lambda e: kinetic.t_upper(F, e, q), bracket=None, bounds=(lo, hi),
         method="bounded", options={"xatol": 1e-12})
     if res.fun <= vals[i]:
         return float(res.fun), float(res.x)

@@ -46,10 +46,14 @@ def validate_params(params):
         return False, f"unknown variant {params.variant!r}"
     if not p > 3:
         return False, f"p = {p:g} must exceed 3"
+    if p == math.inf:
+        return False, "p = inf must be finite"
     if not (0.0 < th < 1.0):
         return False, f"theta = {th:g} must lie in (0, 1)"
     if not params.C > 0:
         return False, f"C = {params.C:g} must be positive"
+    if params.C == math.inf:
+        return False, "C = inf must be finite"
     if params.q < 1:
         return False, f"q = {params.q:g} must be at least 1"
     pt = p * th
@@ -79,6 +83,17 @@ def _tf_term(F, q):
     return bounds._tf_coefficient(q) * F.l53
 
 
+def _variant_terms(F, params):
+    """(bulk functional, theta exponent, has kinetic term) of the variant.
+
+    The rhs is eps * bulk + C (1+eps)/eps * kin + C / eps^exponent * thg,
+    without the kinetic term for the classical variant.
+    """
+    if params.variant == "classical":
+        return F.mass + F.l43, classical_b(params.p, params.theta), False
+    return F.mass + F.l2, 4.0 * params.p - 1.0, True
+
+
 def rhs(F, eps, params):
     """Right-hand side of the certificate at localization parameter eps.
 
@@ -89,15 +104,10 @@ def rhs(F, eps, params):
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     C = params.C
-    if params.variant == "classical":
-        b = classical_b(params.p, params.theta)
-        bulk = eps * (F.mass + F.l43)
-        kin = 0.0
-        theta = C / eps**b * F.thg
-    else:
-        bulk = eps * (F.mass + F.l2)
-        kin = C * (1.0 + eps) / eps * F.kin
-        theta = C / eps ** (4.0 * params.p - 1.0) * F.thg
+    bulk_f, expo, has_kin = _variant_terms(F, params)
+    bulk = eps * bulk_f
+    kin = C * (1.0 + eps) / eps * F.kin if has_kin else 0.0
+    theta = C / eps**expo * F.thg
     total = bulk + kin + theta
     return total, {"bulk": bulk, "kin": kin, "theta": theta, "total": total}
 
@@ -141,10 +151,12 @@ def optimize_eps(A, B, D, e1=1.0, e2=15.0):
     nonincreasing and the boundary eps = 1 is returned; B = D = 0 makes
     the infimum 0 at eps -> 0 (the exactly-flat case).
     """
+    if not all(math.isfinite(c) for c in (A, B, D)):
+        raise ValueError(f"coefficients must be finite, got A={A} B={B} D={D}")
     if A < 0 or B < 0 or D < 0:
         raise ValueError("coefficients must be nonnegative")
-    if not e2 > e1 or not e1 >= 1.0:
-        raise ValueError(f"need e2 > e1 >= 1, got e1={e1} e2={e2}")
+    if not 1.0 <= e1 < e2 < math.inf:
+        raise ValueError(f"need finite e2 > e1 >= 1, got e1={e1} e2={e2}")
     if A == 0.0 and B == 0.0 and D == 0.0:
         raise ValueError("degenerate objective: all coefficients zero")
     if A == 0.0:
@@ -169,23 +181,16 @@ def optimize_eps(A, B, D, e1=1.0, e2=15.0):
 
 def _optimum(F, params):
     """(eps_star, total, flat) for the variant's rhs."""
-    C = params.C
-    if params.variant == "classical":
-        A = F.mass + F.l43
-        B, e1 = 0.0, 1.0
-        D, e2 = C * F.thg, classical_b(params.p, params.theta)
-        offset = 0.0
-    else:
-        A = F.mass + F.l2
-        B, e1 = C * F.kin, 1.0
-        D, e2 = C * F.thg, 4.0 * params.p - 1.0
-        offset = C * F.kin  # the (1+eps)/eps kinetic factor's constant part
+    A, e2, has_kin = _variant_terms(F, params)
+    # C (1+eps)/eps kin = C kin/eps + C kin: the constant part is an offset
+    B = params.C * F.kin if has_kin else 0.0
+    D = params.C * F.thg
     if A == 0.0 and B == 0.0 and D == 0.0:
         return 0.0, 0.0, True
-    eps, g = optimize_eps(A, B, D, e1, e2)
+    eps, g = optimize_eps(A, B, D, 1.0, e2)
     if eps == 0.0:
         return 0.0, 0.0, True
-    return eps, g + offset, False
+    return eps, g + B, False
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +319,11 @@ def report_json(cert):
 # scaling sweeps
 
 
-def scaling_sweep(F_base, params, N_list, eps_power=None):
+def scaling_sweep(F_base, params, N_list):
     """Optimized totals along a dilation sweep and the fitted rate.
 
-    Each N dilates F_base to rho(x / N^{1/3}); eps is optimized per N
-    unless eps_power pins eps = N^eps_power.  Returns (totals, slope)
-    with the slope the least-squares log-log fit.
+    Each N dilates F_base to rho(x / N^{1/3}) and eps is optimized per N.
+    Returns (totals, slope) with the slope the least-squares log-log fit.
     """
     _require_params(params)
     N_list = [float(N) for N in N_list]
@@ -329,13 +333,9 @@ def scaling_sweep(F_base, params, N_list, eps_power=None):
         raise ValueError("sweep points must be positive")
     totals = []
     for N in N_list:
-        FN = field.scale_functionals(F_base, N)
-        if eps_power is None:
-            _, total, flat = _optimum(FN, params)
-            if flat:
-                raise ValueError("flat functional set has no scaling rate")
-        else:
-            total, _ = rhs(FN, N**eps_power, params)
+        _, total, flat = _optimum(field.scale_functionals(F_base, N), params)
+        if flat:
+            raise ValueError("flat functional set has no scaling rate")
         totals.append(total)
     x = np.log(np.asarray(N_list))
     y = np.log(np.asarray(totals))

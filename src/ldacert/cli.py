@@ -304,8 +304,7 @@ def _suite_coulomb():
     exact = field.gaussian_hartree(1.0, 1.0)
     checks.append(("coulomb.hartree_gaussian", abs(num - exact) / exact))
 
-    sf = coulomb.spectral(field.density_to_field(rho, spec))
-    mom = coulomb.kernel_moment(sf, np.zeros((1, 3)))
+    mom = coulomb.kernel_moment(rho, np.zeros((1, 3)), spec)
     checks.append(("coulomb.kernel_moment_zero",
                    abs(2.0 * math.pi * float(np.real(mom)) - num) / num))
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
@@ -101,28 +100,6 @@ class _Engine:
 _engine = functools.lru_cache(maxsize=8)(_Engine)
 
 
-@dataclass
-class SpectralField:
-    """Plain DFT of a real field zero-padded to twice its dims per axis.
-
-    coeffs follows the numpy transform convention scaled by the cell volume,
-    so coeffs[j] approximates the continuum transform int rho e^{-ip.x} dx
-    at p = 2*pi*fftfreq(padded shape, spacing) (up to the constant phase of
-    the grid origin, which cancels in every |.|^2 expression used here).
-    """
-
-    spec: object
-    coeffs: np.ndarray
-
-
-def spectral(field):
-    """Zero-padded plain transform of a ScalarField on the engine's padded
-    grid (padding 2 with the diagonal truncation radius is not alias-free;
-    see the module docstring)."""
-    coeffs = _fft.fftn(field.values, s=_engine(field.spec).shape, workers=_fft_workers())
-    return SpectralField(spec=field.spec, coeffs=coeffs * field.spec.cell_volume)
-
-
 def _check_support(values):
     """Boundary-layer mass must be negligible for the truncated kernel.
 
@@ -194,21 +171,29 @@ def hartree(rho, spec=None):
     return 0.5 * field.spec.cell_volume * float(np.sum(field.values * pot))
 
 
-def kernel_moment(spectral_field, kvecs):
+def kernel_moment(rho, kvecs, spec=None):
     """I(k) = int |rhohat(p)|^2 (1 - cos(R|p-k|))/|p-k|^2 dp for each row k.
 
-    rhohat is the unitary-convention transform; 2*pi*I(0) reproduces the
-    truncated-kernel Hartree value of the same field.  I(-k) = I(k) for a
-    real density, so each +-k pair is evaluated once, at the lexicographically
-    larger of the two; on the grid they differ only through the Nyquist
-    planes, which carry no weight for a resolved field.
+    rho is a Density (sampled on spec, or on its default grid) or a
+    ScalarField.  rhohat is the unitary-convention transform; 2*pi*I(0)
+    reproduces the truncated-kernel Hartree value of the same field.
+    I(-k) = I(k) for a real density, so each +-k pair is evaluated once, at
+    the lexicographically larger of the two; on the grid they differ only
+    through the Nyquist planes, which carry no weight for a resolved field.
+
+    The field is zero-padded to the engine shape and transformed with a
+    plain DFT scaled by the cell volume, which approximates the continuum
+    transform int rho e^{-ip.x} dx at the engine frequencies (up to the
+    phase of the grid origin, which cancels in |.|^2).
     """
     kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
     if kvecs.shape[1] != 3:
         raise ValueError("kvecs must be (n, 3)")
-    engine = _engine(spectral_field.spec)
+    field = _as_field(rho, spec)
+    engine = _engine(field.spec)
     fx, fy, fz = engine.freqs
-    asq = np.abs(spectral_field.coeffs) ** 2
+    coeffs = _fft.fftn(field.values, s=engine.shape, workers=_fft_workers())
+    asq = np.abs(coeffs * field.spec.cell_volume) ** 2
     keys = [max(tuple(k), tuple(-k)) for k in kvecs]
     moments = {}
     for k in keys:
@@ -267,11 +252,10 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     field = _as_field(rho, spec)
     _check_support(field.values)
 
-    sf = spectral(field)
     mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
                  if c != 0.0]
     kvecs = np.array([(_TWO_PI / ell) * m for m, _ in mode_list])
-    moments = np.atleast_1d(kernel_moment(sf, kvecs))
+    moments = np.atleast_1d(kernel_moment(field, kvecs))
     rhs = _TWO_PI * float(
         sum(abs(c) ** 2 * mom for (_, c), mom in zip(mode_list, moments)))
 

@@ -20,7 +20,7 @@ reference is wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -69,8 +69,10 @@ class GridSpec:
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(n) != n or n < 2 for n in self.dims):
             raise ValueError(f"dims must be three integers >= 2, got {self.dims}")
-        if len(self.spacing) != 3 or any(not (h > 0) for h in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if len(self.spacing) != 3 or any(not (0 < h < math.inf) for h in self.spacing):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if len(self.origin) != 3 or not all(math.isfinite(o) for o in self.origin):
+            raise ValueError(f"origin must be three finite numbers, got {self.origin}")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
@@ -232,6 +234,13 @@ class Density:
     #: the grid a density is tied to; only sampled grid densities have one
     own_grid = None
 
+    def _require_finite(self):
+        # every parameter of an analytic family is a number
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
 
 def _cube_grid(half, n):
     # n^3 nodes spanning the cube [-half, half]^3
@@ -253,6 +262,7 @@ class Gaussian(Density):
     mass: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.mass < 0:
@@ -306,6 +316,7 @@ class CompactBump(Density):
     mass: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.mass < 0:
@@ -367,6 +378,7 @@ class SmearedTetra(Density):
     delta: float
 
     def __post_init__(self):
+        self._require_finite()
         if self.rho0 < 0:
             raise ValueError(f"rho0 must be nonnegative, got {self.rho0}")
         if not (0 < self.delta < self.ell / 2):
@@ -476,16 +488,17 @@ def scale_functionals(F, N):
 # tetrahedron-domain Sobolev quotient
 
 
-def _barycentric_inside(vertices, points, tol=1e-12):
+def _barycentric_inside(vertices, points):
+    # faces count as inside, to 1e-12 in barycentric coordinates
     v = np.asarray(vertices, dtype=float)
     T = np.column_stack([v[1] - v[0], v[2] - v[0], v[3] - v[0]])
     lam = np.linalg.solve(T, (points - v[0]).T).T
     lam0 = 1.0 - lam.sum(axis=1)
-    return (lam.min(axis=1) >= -tol) & (lam0 >= -tol)
+    return (lam.min(axis=1) >= -1e-12) & (lam0 >= -1e-12)
 
 
-def sobolev_ratio(u, p, ell, vertices=None):
-    """sup_T |u|^p / (ell^{p-3} int_T |grad u|^p) on a tetrahedron T.
+def sobolev_ratio(u, p, ell):
+    """sup_T |u|^p / (ell^{p-3} int_T |grad u|^p) on T = ell * reference_tetra.
 
     The quotient is the one the uniform-bound step controls; it is only
     meaningful when u vanishes somewhere on the closed tile, so an
@@ -496,14 +509,12 @@ def sobolev_ratio(u, p, ell, vertices=None):
         raise ValueError(f"p must exceed 3, got {p}")
     if not ell > 0:
         raise ValueError(f"ell must be positive, got {ell}")
-    if vertices is None:
-        from . import tiling
+    from . import tiling
 
-        vertices = ell * tiling.reference_tetra()
     spec = u.spec
     X, Y, Z = spec.meshgrid()
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    mask = _barycentric_inside(vertices, pts).reshape(spec.dims)
+    mask = _barycentric_inside(ell * tiling.reference_tetra(), pts).reshape(spec.dims)
     if not mask.any():
         raise PreconditionError("grid does not cover the tetrahedron")
     vals = np.abs(u.values[mask])
@@ -557,7 +568,10 @@ def read_grid(path):
         hx, hy, hz, ox, oy, oz = (float(t) for t in tokens[5:11])
     except ValueError as exc:
         raise GridFormatError(f"bad header field: {exc}") from None
-    spec = GridSpec((nx, ny, nz), (hx, hy, hz), (ox, oy, oz))
+    try:
+        spec = GridSpec((nx, ny, nz), (hx, hy, hz), (ox, oy, oz))
+    except ValueError as exc:
+        raise GridFormatError(f"bad header: {exc}") from None
     data = tokens[11:]
     if len(data) != spec.n_total:
         raise GridFormatError(

@@ -30,7 +30,6 @@ class Envelope:
     shifted has a = 1 - eps*b.
     """
 
-    kind: str
     eps: float
     b: float = 0.0
 
@@ -73,11 +72,11 @@ class Envelope:
 
 
 def eta_basic(eps):
-    return Envelope("basic", float(eps))
+    return Envelope(float(eps))
 
 
 def eta_shifted(eps, b):
-    return Envelope("shifted", float(eps), float(b))
+    return Envelope(float(eps), float(b))
 
 
 @dataclass(frozen=True)
@@ -117,22 +116,21 @@ def _minv_closed(eps, a):
     )
 
 
-def moments(env, d=3):
+def moments(env):
     """Moment integrals: m0, minv, fisher0 closed form; m2d, fisher by quad.
 
+    m2d = int t^{2/3} eta, the 2/d power moment in d = 3.
     fisher = int t^2 eta'^2/eta, fisher0 = int eta'^2/eta; on the parabolic
     lobes eta'^2/eta = 4c identically, so fisher0 = 8c*eps = 12/eps^2.
     """
     from scipy import integrate as _sciint
 
-    if d < 1 or int(d) != d:
-        raise ValueError(f"d must be a positive integer, got {d}")
     a, eps = env.a, env.eps
     mid, top = a + eps, a + 2.0 * eps
     m2d = 0.0
     fisher = 0.0
     for lo, hi in ((a, mid), (mid, top)):
-        v, _ = _sciint.quad(lambda t: env.value(t) * t ** (2.0 / d), lo, hi,
+        v, _ = _sciint.quad(lambda t: env.value(t) * t ** (2.0 / 3), lo, hi,
                             epsabs=1e-13, epsrel=1e-11)
         m2d += v
         v, _ = _sciint.quad(
@@ -147,8 +145,8 @@ def moments(env, d=3):
     )
 
 
-def solve_b(eps, d=3):
-    """The shift b making the inverse moment exactly 1 (d plays no role).
+def solve_b(eps):
+    """The shift b making the inverse moment exactly 1.
 
     Root-found on b in [0, 1.5] to |minv - 1| <= 1e-12.  For small eps,
 
@@ -185,19 +183,19 @@ def remark_b(eps):
 # integral
 
 
-def t_upper(F, eps, q=1, variant="general", kappa1=KAPPA_1, kappa2=KAPPA_2):
+def t_upper(F, eps, q=1, variant="general"):
     """Semiclassical upper bound on the lowest kinetic energy.
 
-    general:       q^{-2/3} c_TF (1 + kappa1*eps) * l53
-                   + kappa2 (1+sqrt(eps))^2/eps * kin
+    general:       q^{-2/3} c_TF (1 + KAPPA_1*eps) * l53
+                   + KAPPA_2 (1+sqrt(eps))^2/eps * kin
     3d-small-eps:  q^{-2/3} c_TF (1 + eps^2/15) * l53 + (19/eps^2) * kin,
                    valid for eps <= 1 (shifted-envelope route).
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if variant == "general":
-        return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 + kappa1 * eps) * F.l53
-                + kappa2 * (1.0 + math.sqrt(eps)) ** 2 / eps * F.kin)
+        return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 + KAPPA_1 * eps) * F.l53
+                + KAPPA_2 * (1.0 + math.sqrt(eps)) ** 2 / eps * F.kin)
     if variant == "3d-small-eps":
         if eps > 1.0:
             raise ValueError(f"variant 3d-small-eps requires eps <= 1, got {eps}")
@@ -206,21 +204,17 @@ def t_upper(F, eps, q=1, variant="general", kappa1=KAPPA_1, kappa2=KAPPA_2):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def t_lower_lt(F, q=1, c=None):
-    """Lieb-Thirring kinetic lower bound; c defaults to the conjectured c_TF."""
-    if c is None:
-        c = c_tf(3)
-    return _spin(q) ** (-2.0 / 3) * c * F.l53
+def t_lower_lt(F, q=1):
+    """Lieb-Thirring kinetic lower bound with the conjectured constant c_TF."""
+    return _spin(q) ** (-2.0 / 3) * c_tf(3) * F.l53
 
 
-def t_lower_nam(F, eps, q=1, kappa=1.0):
-    """Gradient-corrected semiclassical lower bound (kappa is a free knob)."""
+def t_lower_nam(F, eps, q=1):
+    """Gradient-corrected semiclassical lower bound (gradient constant 1)."""
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 - eps) * F.l53
-            - kappa / eps ** (3.0 + 4.0 / 3) * F.kin)
+            - 1.0 / eps ** (3.0 + 4.0 / 3) * F.kin)
 
 
 def t_lower_ho(F):
@@ -228,18 +222,18 @@ def t_lower_ho(F):
     return F.kin
 
 
-def kinetic_band(F, q=1, kappa=1.0, n_grid=200):
+def kinetic_band(F, q=1):
     """Two-sided bracket on the lowest kinetic energy.
 
-    eps is optimized on a log grid in [1e-4, 1], independently for the
-    gradient-corrected lower bound and for each upper-bound variant; the
-    Lieb-Thirring and Hoffmann-Ostenhof floors are max'd in.
+    eps is optimized on a 200-point log grid in [1e-4, 1], independently
+    for the gradient-corrected lower bound and for each upper-bound
+    variant; the Lieb-Thirring and Hoffmann-Ostenhof floors are max'd in.
     Returns (lower, upper, eps_lower, eps_upper).
     """
     if F.mass == 0.0 and F.kin == 0.0:
         return 0.0, 0.0, None, None
-    grid = np.logspace(-4.0, 0.0, n_grid)
-    nam = np.array([t_lower_nam(F, e, q, kappa) for e in grid[grid < 1.0]])
+    grid = np.logspace(-4.0, 0.0, 200)
+    nam = np.array([t_lower_nam(F, e, q) for e in grid[grid < 1.0]])
     lower_candidates = {
         "lt": (t_lower_lt(F, q), None),
         "ho": (t_lower_ho(F), None),

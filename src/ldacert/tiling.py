@@ -109,12 +109,12 @@ class Tetra:
     def centroid(self):
         return self.vertices.mean(axis=0)
 
-    def contains(self, points, tol=1e-12):
-        """Boolean mask: which points lie inside (faces count as inside)."""
+    def contains(self, points):
+        """Boolean mask: which points lie inside (faces, to 1e-12, count)."""
         frames = _face_frames(_vertex_key(self.vertices))
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         h = pts @ frames[0].T - frames[1]
-        return np.all(h <= tol, axis=1)
+        return np.all(h <= 1e-12, axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -593,18 +593,15 @@ def sqrt_chi_grad_norm(cfg, j, n=None):
 _LATTICE_OFFSETS = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
 
 
-def _lattice_tile_sum(cfg, pts, use_chi):
-    """Sum over all lattice translates and tiles of chi (or xi) at pts."""
+def _lattice_tile_sum(cfg, pts):
+    """Sum over all lattice translates and tiles of chi at pts."""
     ell = cfg.ell
     base = np.round(pts / ell)
     acc = np.zeros(len(pts))
     for off in _LATTICE_OFFSETS:
         shifted = pts - ell * (base + off[None, :])
         for j in range(1, 25):
-            if use_chi:
-                acc += chi_values(cfg, j, shifted)
-            else:
-                acc += xi_values(cfg, j, shifted)
+            acc += chi_values(cfg, j, shifted)
     return acc
 
 
@@ -622,7 +619,7 @@ def partition_residual(cfg, n_tau, sample_points):
     axis = (np.arange(n_tau) + 0.5) * (ell / n_tau)
     tau = np.array(list(itertools.product(axis, repeat=3)))
     shifted = (pts[:, None, :] - tau[None, :, :]).reshape(-1, 3)
-    sums = _lattice_tile_sum(cfg, shifted, use_chi=True)
+    sums = _lattice_tile_sum(cfg, shifted)
     averages = sums.reshape(len(pts), -1).mean(axis=1)
     return float(np.max(np.abs(averages - 1.0)))
 
@@ -685,14 +682,16 @@ def cube_fourier(k):
 
 
 def _check_reciprocal(k):
+    """Integer lattice index of a wave vector, or of each row of an (n, 3)
+    array of them."""
     k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
+    if k.ndim not in (1, 2) or k.shape[-1] != 3:
         raise ValueError("wave vector must be a 3-vector")
     m = k / (2.0 * math.pi)
     mi = np.round(m)
     if np.max(np.abs(m - mi)) > 1e-9:
         raise ValueError(f"wave vector {k} is not on the 2 pi lattice")
-    if np.all(mi == 0):
+    if np.any(np.all(mi == 0, axis=-1)):
         raise ValueError("wave vector must be a nonzero lattice point")
     return mi.astype(int)
 
@@ -702,18 +701,20 @@ def reduced_sum(eps, k):
 
     Each unit tile is contracted about its own centroid by 1 - eps; the
     result is normalized by (1 - eps)^{-3} so that S(0, k) = 0 exactly at
-    nonzero reciprocal lattice points.
+    nonzero reciprocal lattice points.  k is one wave vector, or an (n, 3)
+    array of them for an array of n sums.
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"contraction parameter must lie in [0, 1/2), got {eps}")
     _check_reciprocal(k)
     kv = np.asarray(k, dtype=float)
-    total = 0.0 + 0.0j
+    total = np.zeros(len(np.atleast_2d(kv)), dtype=complex)
     for tile in unit_cube_tetrahedra():
         c = tile.centroid
         verts = c + (1.0 - eps) * (tile.vertices - c)
-        total += _tetra_fourier_batch(verts, kv)[0]
-    return total / (1.0 - eps) ** 3
+        total += _tetra_fourier_batch(verts, kv)
+    total /= (1.0 - eps) ** 3
+    return total if kv.ndim == 2 else total[0]
 
 
 def moment_M(k):
@@ -751,9 +752,6 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
     k_max = int(k_max)
     from . import coulomb, field
 
-    fld = field.density_to_field(rho, field.default_grid(rho, n=n_grid))
-    sf = coulomb.spectral(fld)
-
     rng = np.arange(-k_max, k_max + 1)
     m = np.array([mm for mm in itertools.product(rng, repeat=3) if any(mm)])
     kv = 2.0 * math.pi * m.astype(float)
@@ -762,14 +760,8 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
     eps = cfg.eps
     hats = mollifier_hat(eps * knorm / 10.0)
 
-    s_vals = np.zeros(len(kv), dtype=complex)
-    for tile in unit_cube_tetrahedra():
-        c = tile.centroid
-        verts = c + (1.0 - eps) * (tile.vertices - c)
-        s_vals += _tetra_fourier_batch(verts, kv)
-    s_vals /= (1.0 - eps) ** 3
-
-    moments = coulomb.kernel_moment(sf, kv / cfg.ell)
+    s_vals = reduced_sum(eps, kv)
+    moments = coulomb.kernel_moment(rho, kv / cfg.ell, field.default_grid(rho, n=n_grid))
     terms = (2.0 * math.pi) ** 7 * hats**2 * np.abs(s_vals) ** 2 * moments
     total = float(np.sum(terms))
     if not detail:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ldacert import bounds, field
+from ldacert import bounds, field, kinetic
 
 
 def test_tf_constant_two_routes():
@@ -59,8 +59,8 @@ def test_energy_upper_min_gaussian(gauss_F):
     assert val == pytest.approx(67.70648980405888, rel=1e-8)
     assert eps > 0.0
     # the refined minimum beats nearby evaluations
-    assert val <= bounds.energy_upper(gauss_F, eps * 1.01) + 1e-12
-    assert val <= bounds.energy_upper(gauss_F, eps * 0.99) + 1e-12
+    assert val <= kinetic.t_upper(gauss_F, eps * 1.01) + 1e-12
+    assert val <= kinetic.t_upper(gauss_F, eps * 0.99) + 1e-12
 
 
 def test_sandwich_on_gaussian(gauss_F):

@@ -30,6 +30,8 @@ def unit_set(**overrides):
     (certificate.CertParams(4.0, 0.5, q=0), False, "at least 1"),
     (certificate.CertParams(4.0, 0.5, variant="thermo"), False,
      "unknown variant"),
+    (certificate.CertParams(math.inf, 0.5), False, "must be finite"),
+    (certificate.CertParams(4.0, 0.5, C=math.inf), False, "must be finite"),
 ])
 def test_validate_params(params, ok, fragment):
     accepted, reason = certificate.validate_params(params)
@@ -60,6 +62,12 @@ def test_optimize_eps_gates():
         certificate.optimize_eps(1.0, -0.1, 0.0)
     with pytest.raises(ValueError):
         certificate.optimize_eps(1.0, 1.0, 1.0, e1=2.0, e2=1.0)
+    # a non-finite coefficient used to stall the bracket search
+    for coeffs in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            certificate.optimize_eps(*coeffs)
+    with pytest.raises(ValueError, match="finite e2"):
+        certificate.optimize_eps(1.0, 1.0, 1.0, e1=1.0, e2=math.inf)
 
 
 def test_rhs_breakdown_and_linearity(gauss_F):

@@ -8,6 +8,58 @@ from ldacert import cli, field
 
 GAUSS = "builtin:gaussian,sigma=1,mass=1"
 
+# the whole stdout of `certify --density GAUSS`, byte for byte
+GAUSS_JSON = (
+    '{"params": {"p": 4, "theta": 0.5, "C": 1, "q": 1, "variant": "quantum", '
+    '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
+    '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
+    '1.6399999999999999}, "functionals": {"mass": 1, "l2": '
+    '0.02244839026564582, "l43": 0.25912061210350168, "l53": '
+    '0.07396853328737997, "kin": 0.75, "tv": 1.5957691216057308, "thg": '
+    '0.0052613414685107381, "theta": 0.5, "p": 4, "hartree": '
+    '0.28214473556530983}, "lda": 0.48289174353030628, "epsilon_star": '
+    '0.94750031438888982, "rhs": {"bulk": 0.96877017122311371, "kin": '
+    '1.5415564655867457, "theta": 0.011814247040848816, "total": '
+    '2.5221408838507084}, "band": [-2.0392491403204023, 3.0050326273810146], '
+    '"advisory_envelope": [0.24930973929988026, 67.706489804058876], '
+    '"flags": ["conjectured_constant", "eps_star_above_half"]}' "\n"
+)
+
+# the stdout lines of `scaling --n 1e4:1e12:6` and of `verify --suite NAME`
+SCALING_ROWS = [
+    "N total",
+    "10000 11293.418831879229",
+    "398107.17055349692 329178.28594529669",
+    "15848931.924611142 9633877.5179059729",
+    "630957344.48019433 282113802.87960047",
+    "25118864315.095821 8261987507.9516068",
+    "1000000000000 241963704180.11981",
+    "slope 0.91643227189443766",
+]
+
+VERIFY_ROWS = {
+    "kinetic": [
+        "PASS kinetic.envelope_mass              residual=0.000e+00 tol=1.0e-10",
+        "PASS kinetic.fisher_identity            residual=0.000e+00 tol=1.0e-08",
+        "PASS kinetic.envelope_mass              residual=8.882e-16 tol=1.0e-10",
+        "PASS kinetic.fisher_identity            residual=3.790e-16 tol=1.0e-08",
+        "PASS kinetic.shift_series               residual=1.767e-08 tol=5.0e-04",
+        "PASS kinetic.margins                    residual=0.000e+00 tol=1.0e-12",
+        "PASS kinetic.c_tf                       residual=1.949e-16 tol=1.0e-12",
+        "PASS kinetic.c_lo_grad                  residual=7.241e-06 tol=5.0e-05",
+    ],
+    "lemmas": [
+        "PASS lemmas.optimize_eps                residual=2.260e-11 tol=1.0e-09",
+        "PASS lemmas.scale_choice                residual=1.735e-16 tol=1.0e-12",
+        "PASS lemmas.classical_exponent          residual=0.000e+00 tol=1.0e-15",
+        "PASS lemmas.subadditivity_vanishing     residual=0.000e+00 tol=1.0e-12",
+        "PASS lemmas.kinetic_band_order          residual=0.000e+00 tol=1.0e-12",
+        "PASS lemmas.rhs_linearity               residual=0.000e+00 tol=1.0e-12",
+        "PASS lemmas.parameter_gates             residual=0.000e+00 tol=5.0e-01",
+        "PASS lemmas.classical_rate              residual=0.000e+00 tol=1.0e-03",
+    ],
+}
+
 
 @pytest.fixture()
 def runner():
@@ -26,6 +78,7 @@ def test_certify_json(runner):
     assert doc["epsilon_star"] == pytest.approx(0.94750031438888982, rel=1e-12)
     assert doc["rhs"]["total"] == pytest.approx(2.5221408838507084, rel=1e-12)
     assert doc["flags"] == ["conjectured_constant", "eps_star_above_half"]
+    assert result.stdout == GAUSS_JSON
 
 
 def test_certify_deterministic_output(runner):
@@ -46,6 +99,10 @@ def test_certify_deterministic_output(runner):
     (["certify", "--density", GAUSS, "--bogus"], ""),
     (["scaling", "--n", "5:1:4"], ""),
     (["certify", "--density", GAUSS, "--q", "0"], "at least 1"),
+    (["certify", "--density", "builtin:compact-bump,radius=inf,mass=1"], "must be finite"),
+    (["certify", "--density", "builtin:smeared-tetra,rho0=1,ell=inf,delta=0.5"],
+     "must be finite"),
+    (["scaling", "--n", "1e4:1e12:6", "--p", "inf"], "must be finite"),
 ])
 def test_parameter_rejections_exit_2(runner, args, fragment):
     result = runner.invoke(cli.main, args)
@@ -79,6 +136,7 @@ def test_scaling_slope(runner):
     tag, slope = rows[-1].split()
     assert tag == "slope"
     assert float(slope) == pytest.approx(0.91643227189443766, rel=1e-9)
+    assert result.stdout == "".join(row + "\n" for row in SCALING_ROWS)
 
 
 def test_tile_round_trip(runner, tmp_path):
@@ -117,6 +175,7 @@ def test_verify_fast_suites(runner, suite):
     lines = [ln for ln in result.output.splitlines()
              if ln and not ln.startswith("#")]
     assert lines and all(ln.startswith("PASS") for ln in lines)
+    assert result.stdout == "".join(row + "\n" for row in VERIFY_ROWS[suite])
 
 
 def test_grid_cli_read_matches_library(runner, tmp_path):

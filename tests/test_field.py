@@ -123,6 +123,10 @@ def test_read_grid_rejects_bad_header(tmp_path):
     p.write_text("NOT-A-GRID v9 1 1 1\n0.0\n")
     with pytest.raises(field.GridFormatError):
         field.read_grid(p)
+    for header in ("2 2 2 inf 1 1 0 0 0", "2 2 2 1 1 1 0 -inf 0"):
+        p.write_text(f"LDA-GRID v1 {header}\n" + "0 " * 8 + "\n")
+        with pytest.raises(field.GridFormatError, match="finite"):
+            field.read_grid(p)
 
 
 def test_grid_density_spec_mismatch():
@@ -173,3 +177,4 @@ def test_sobolev_ratio_zero_field():
     spec = field.GridSpec((25, 25, 25), (0.05, 0.05, 0.05), (-0.6, -0.6, -0.6))
     z = field.ScalarField(spec=spec, values=np.zeros(spec.dims))
     assert field.sobolev_ratio(z, 4.0, 1.0) == 0.0
+

@@ -164,6 +164,16 @@ def test_reduced_sum_vanishes_at_zero_contraction():
         tiling.reduced_sum(0.1, np.zeros(3))
 
 
+def test_reduced_sum_of_rows():
+    ks = 2.0 * math.pi * np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, -1.0, 1.0]])
+    rows = tiling.reduced_sum(0.1, ks)
+    assert rows.shape == (3,)
+    np.testing.assert_allclose(rows, [tiling.reduced_sum(0.1, k) for k in ks],
+                               rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        tiling.reduced_sum(0.1, np.vstack([ks, np.zeros(3)]))
+
+
 def test_reduced_sum_linear_rate():
     k = 2.0 * math.pi * np.array([1.0, 0.0, 0.0])
     vals = [abs(tiling.reduced_sum(e, k)) for e in (0.2, 0.1, 0.05)]
