@@ -8,7 +8,11 @@ length P satisfies P >= L + R, and R = sqrt(3) L breaks it for P = 2L, so
 periodic images still enter at a small relative level; see ROADMAP.md,
 "Alias-free Coulomb kernel".  The convolution runs as per-axis real and
 complex FFTs that skip the all-zero padding lines and crop before each
-inverse pass, with the kernel built once per grid and cached.  The same
+inverse pass, with the kernel built once per grid and cached.  Lines that
+miss the support box of the field, the bounding box of its nonzero nodes,
+are skipped as well, so a density that vanishes on most of its grid (a
+smeared tile) pays mostly for its box; the values are those of the
+whole-grid transform.  The same
 truncated kernel backs the reciprocal-space moment integrals and the
 translation-averaged localization identity.  The annulus convolution is an
 independent 1D radial reduction used by the tiling error analysis.
@@ -23,7 +27,7 @@ import os
 import numpy as np
 import scipy.fft as _fft
 
-from .field import Density, ScalarField, SupportError, density_to_field
+from .field import Density, ScalarField, SupportError, _support_box, density_to_field
 
 _TWO_PI = 2.0 * math.pi
 # the periodic identity support-checks its shifted fields in blocks of at
@@ -129,33 +133,47 @@ def _as_field(rho, spec=None):
 
 
 def _potential(values, spec):
-    """Truncated-kernel potential of real fields on the grid of spec.
+    """Truncated-kernel potential of real fields on their support box.
 
     values holds one field, or a stack of fields along leading axes.  Each
     is zero-padded to the engine shape, multiplied by the cached kernel on
-    the rfftn half-grid and cropped back to the box.
+    the rfftn half-grid and cropped back to the box.  The potential is
+    returned on the support box of values (the union over a stack) and is
+    0 elsewhere, which is all that values * potential reads.
 
     The transforms run axis by axis in pocketfft's own rfftn/irfftn order,
     so every line kept goes through the same 1D plan on the same data and
-    the result equals irfftn(rfftn(values, s) * kernel, s) cropped.  Lines
-    that are all padding zeros on the way in, or cropped away on the way
-    out, are never transformed, and the 1/(P1 P2 P3) scale is applied once
-    at the end, rounded from long double as pocketfft rounds it.
+    the result on the box equals irfftn(rfftn(values, s) * kernel, s).
+    Only the z lines through the box are transformed on the way in, and
+    only the y lines through its x rows and the z lines through its (x, y)
+    rows on the way out; every other line is all zeros on the way in or
+    cropped away on the way out.  A field nonzero on every node runs the
+    whole-grid transforms.  The 1/(P1 P2 P3) scale is applied once at the
+    end, rounded from long double as pocketfft rounds it.
     """
     engine = _engine(spec)
     workers = _fft_workers()
     p1, p2, p3 = engine.shape
-    n1, n2, n3 = spec.dims
-    coeffs = _fft.rfft(values, n=p3, axis=-1, workers=workers)
-    coeffs = _fft.fft(coeffs, n=p1, axis=-3, workers=workers)
-    coeffs = _fft.fft(coeffs, n=p2, axis=-2, workers=workers)
+    bx, by, _ = _support_box(values)
+    stack = values.shape[:-3]
+    coeffs = _fft.rfft(values[..., bx, by, :], n=p3, axis=-1, workers=workers)
+    slabs = np.zeros(stack + (p1,) + coeffs.shape[-2:], dtype=complex)
+    slabs[..., bx, :, :] = coeffs
+    slabs = _fft.fft(slabs, axis=-3, overwrite_x=True, workers=workers)
+    coeffs = np.zeros(stack + engine.kernel.shape, dtype=complex)
+    coeffs[..., by, :] = slabs
+    del slabs  # freed before the largest transform
+    coeffs = _fft.fft(coeffs, axis=-2, overwrite_x=True, workers=workers)
     coeffs *= engine.kernel
     coeffs = _fft.ifft(coeffs, axis=-3, norm="forward", overwrite_x=True,
-                       workers=workers)[..., :n1, :, :]
+                       workers=workers)[..., bx, :, :]
     coeffs = _fft.ifft(coeffs, axis=-2, norm="forward", overwrite_x=True,
-                       workers=workers)[..., :n2, :]
-    pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward", workers=workers)[..., :n3]
-    pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
+                       workers=workers)[..., by, :]
+    box_pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward",
+                         workers=workers)[..., :spec.dims[2]]
+    box_pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
+    pot = np.zeros(values.shape)
+    pot[..., bx, by, :] = box_pot
     return pot
 
 

@@ -193,29 +193,62 @@ def _bump_radial_table(radius, s_keys):
     return out
 
 
+def _support_box(values, pad=0):
+    """Slices of the last three axes that bound the nonzero values.
+
+    values holds one field, or a stack of fields along leading axes (the
+    box is then the union over the stack).  The box is widened by pad
+    nodes and clipped to the grid; it is the whole grid when every value
+    is zero.
+    """
+    nonzero = values != 0
+    box = []
+    for axis in range(nonzero.ndim - 3, nonzero.ndim):
+        others = tuple(a for a in range(nonzero.ndim) if a != axis)
+        idx = np.flatnonzero(np.any(nonzero, axis=others))
+        if idx.size == 0:
+            return tuple(slice(0, n) for n in values.shape[-3:])
+        box.append(slice(max(idx[0] - pad, 0), idx[-1] + pad + 1))
+    return tuple(box)
+
+
 def _grid_functionals(field, theta, p):
+    """Grid functionals, computed on the support box of the samples.
+
+    Every integrand vanishes where rho and its neighbours do.  Two nodes of
+    margin let np.gradient see the same zeros at the box edge as on the
+    whole grid, and each integrand is summed over the whole grid, so the
+    4096-node chunks of _compensated_total and every value are those of a
+    whole-grid evaluation.
+    """
     rho = field.values
     if np.any(rho < 0):
         raise ValueError("density must be nonnegative")
     vol = field.spec.cell_volume
-    positive = rho > 0
+    box = _support_box(rho, pad=2)
+    sub = rho[box]
+    positive = sub > 0
+    whole = np.zeros(rho.shape)
+
+    def integral(values):
+        whole[box] = values
+        return vol * _compensated_total(whole)
 
     def power_grad_integral(expo, q):
         # int |grad rho^expo|^q with the vacuum-node override
-        g = np.gradient(rho**expo, *field.spec.spacing)
+        g = np.gradient(sub**expo, *field.spec.spacing)
         mag2 = g[0] ** 2 + g[1] ** 2 + g[2] ** 2
         mag2[~positive] = 0.0
-        return vol * _compensated_total(mag2 ** (q / 2.0))
+        return integral(mag2 ** (q / 2.0))
 
-    gx, gy, gz = np.gradient(rho, *field.spec.spacing)
-    tv = vol * _compensated_total(np.sqrt(gx**2 + gy**2 + gz**2))
+    gx, gy, gz = np.gradient(sub, *field.spec.spacing)
     return FunctionalSet(
         mass=vol * _compensated_total(rho),
-        l2=vol * _compensated_total(rho**2),
-        l43=vol * _compensated_total(rho ** (4.0 / 3.0)),
-        l53=vol * _compensated_total(rho ** (5.0 / 3.0)),
+        l2=integral(sub**2),
+        l43=integral(sub ** (4.0 / 3.0)),
+        l53=integral(sub ** (5.0 / 3.0)),
         kin=power_grad_integral(0.5, 2.0),
-        tv=tv,
+        tv=integral(np.sqrt(gx**2 + gy**2 + gz**2)),
         thg=power_grad_integral(theta, p),
         theta=theta,
         p=p,

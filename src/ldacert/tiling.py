@@ -350,6 +350,24 @@ def _vertex_key(vertices):
     return tuple(np.asarray(vertices, dtype=float).ravel().tolist())
 
 
+@lru_cache(maxsize=64)
+def _reach_box(vertex_key, rs):
+    """Axis-aligned box (lo, hi) of T' = {x : h_f(x) < rs for every face f}.
+
+    T' is the tetrahedron with each face plane pushed out by rs, so its
+    corners are where three pushed planes meet.  The convolved indicator
+    is exactly 0 outside T'.
+    """
+    normals, offsets = _face_frames(vertex_key)[:2]
+    corners = np.array([
+        np.linalg.solve(normals[list(faces)], offsets[list(faces)] + rs)
+        for faces in itertools.combinations(range(4), 3)])
+    box = corners.min(axis=0), corners.max(axis=0)
+    for bound in box:
+        bound.flags.writeable = False  # cached: every caller shares it
+    return box
+
+
 _GL_X, _GL_W = leggauss(24)
 _NUDGE_DIR = np.array([0.2319871039203040, 0.5483715558798305, 0.8034840276971138])
 _NUDGE_DIR = _NUDGE_DIR / np.linalg.norm(_NUDGE_DIR)
@@ -405,7 +423,9 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     with Theta_f the winding-angle sum of face f around the foot point
     and the edge integrals taken in the fan angle psi.  The gradient
     (returned when want_grad is set) replaces Q_c by the profile K_g and
-    carries a factor -n_f.
+    carries a factor -n_f.  u and its gradient vanish outside
+    T' = {h_f < rs for every f}, so points outside the box of T' are set
+    to 0 before any face product is taken.
 
     Conditioning: the split is exact, but the pieces grow like 1/dist
     near the vertices and edge lines of T, so the absolute error there
@@ -416,22 +436,31 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     verts = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = len(pts)
-    normals, offsets, ea, eb, edge_u, edge_m = _face_frames(_vertex_key(verts))
+    key = _vertex_key(verts)
+    normals, offsets, ea, eb, edge_u, edge_m = _face_frames(key)
 
     scale = float(np.max(np.abs(verts))) + rs
     tol = 1e-13 * scale
 
-    h_all = pts @ normals.T - offsets
     u = np.zeros(n_pts)
     grad = np.zeros((n_pts, 3))
+    # u = 0 outside the box of T' (widened by tol against rounding)
+    lo, hi = _reach_box(key, rs)
+    inbox = np.all((pts >= lo - tol) & (pts <= hi + tol), axis=1)
+    if np.count_nonzero(inbox) == 1:
+        # BLAS rounds a one-row product unlike the same row of a batch
+        inbox[:] = True
+    rows = np.flatnonzero(inbox)
+    h_all = pts[rows] @ normals.T - offsets
 
     deep = np.all(h_all <= -rs, axis=1)
-    u[deep] = 1.0
+    u[rows[deep]] = 1.0
     active = ~deep & ~np.any(h_all >= rs, axis=1)
     if not np.any(active):
         return (u, grad) if want_grad else u
 
-    p = pts[active].copy()
+    rows = rows[active]
+    p = pts[rows]
     h = h_all[active]
     e, ta, tb = _edge_coords(p, ea, eb, edge_u, edge_m)
 
@@ -501,9 +530,9 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
         if want_grad:
             gvec -= (kh * theta - gsum)[:, None] * normals[f][None, :]
 
-    u[active] = np.clip(omega / (4.0 * math.pi) + corr, 0.0, 1.0)
+    u[rows] = np.clip(omega / (4.0 * math.pi) + corr, 0.0, 1.0)
     if want_grad:
-        grad[active] = gvec
+        grad[rows] = gvec
         return u, grad
     return u
 
@@ -781,15 +810,29 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
 
 
 def sample_field(cfg, j, spec, kind="chi"):
-    """Sample chi_j or xi_j on a grid, returning a ScalarField."""
+    """Sample chi_j or xi_j on a grid, returning a ScalarField.
+
+    Only the nodes of the support box are evaluated: the box of T', the
+    tile with each face pushed out by the smearing radius, widened by 2
+    cells and clipped to the grid.  Every other node is 0, as a pointwise
+    evaluation would give.
+    """
     from .field import ScalarField
 
     if kind not in ("chi", "xi"):
         raise ValueError(f"kind must be 'chi' or 'xi', got {kind!r}")
-    xs, ys, zs = spec.meshgrid()
+    lo, hi = _reach_box(_vertex_key(_tile_vertices(cfg, j, kind == "chi")),
+                        cfg.smear_radius)
+    box = tuple(
+        slice(max(math.floor((lo[a] - spec.origin[a]) / spec.spacing[a]) - 2, 0),
+              max(math.ceil((hi[a] - spec.origin[a]) / spec.spacing[a]) + 3, 0))
+        for a in range(3))
+    xs, ys, zs = np.meshgrid(*(ax[s] for ax, s in zip(spec.axes(), box)), indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
     if kind == "chi":
         vals = chi_values(cfg, j, pts)
     else:
         vals = xi_values(cfg, j, pts)
-    return ScalarField(spec, vals.reshape(spec.dims))
+    values = np.zeros(spec.dims)
+    values[box] = vals.reshape(xs.shape)
+    return ScalarField(spec, values)

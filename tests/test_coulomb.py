@@ -113,6 +113,52 @@ def test_potential_equals_unpruned_transform(dims, stack):
     np.testing.assert_array_equal(got, _potential_reference(values, spec))
 
 
+def _sparse_values(dims, stack, blocks, seed):
+    """Random values on the given index blocks of each stack member, 0
+    elsewhere; blocks holds one tuple of slices per member."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(stack + dims)
+    for member, block in zip(np.ndindex(stack), blocks):
+        values[member + block] = rng.uniform(0.1, 1.0, size=values[member + block].shape)
+    return values
+
+
+SPARSE_CASES = {
+    # a sub-box at an interior offset
+    "interior": ((), [np.s_[3:9, 5:14, 2:7]]),
+    # touching the x = 0 and x = n1 - 1 faces, y and z in between
+    "opposite_faces": ((), [np.s_[[0, -1], 4:9, 1:5]]),
+    "one_node": ((), [np.s_[5:6, 7:8, 3:4]]),
+    "stack": ((3,), [np.s_[1:4, 2:5, :], np.s_[8:11, 9:13, 1:3], np.s_[6:7, 2:3, 4:5]]),
+}
+
+
+@pytest.mark.parametrize("dims", [(17, 24, 9), (11, 15, 13), (16, 16, 16)])
+@pytest.mark.parametrize("case", SPARSE_CASES)
+def test_pruned_potential_equals_unpruned_on_the_support(dims, case):
+    stack, blocks = SPARSE_CASES[case]
+    spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
+    values = _sparse_values(dims, stack, blocks, seed=sum(dims))
+    got = coulomb._potential(values, spec)
+    want = _potential_reference(values, spec)
+    assert got.shape == values.shape
+
+    # the x and y extent of the nonzero values over the stack; z lines stay whole
+    nonzero = np.any(values != 0, axis=tuple(range(len(stack))))
+    xs, ys, _ = np.nonzero(nonzero)
+    box = np.s_[xs.min():xs.max() + 1, ys.min():ys.max() + 1, :]
+    np.testing.assert_array_equal(got[..., box[0], box[1], :], want[..., box[0], box[1], :])
+    outside = np.ones(dims, dtype=bool)
+    outside[box] = False
+    assert not np.any(got[..., outside])
+    np.testing.assert_array_equal(values * got, values * want)
+
+
+def test_hartree_of_zero_field_is_zero():
+    spec = field.GridSpec((12, 10, 9), (0.2, 0.2, 0.2))
+    assert coulomb.hartree(field.ScalarField(spec, np.zeros(spec.dims))) == 0.0
+
+
 def _direct_half_grid_kernel(freqs, radius):
     """The kernel evaluated at every point of the rfftn half-grid."""
     fx, fy, fz = freqs

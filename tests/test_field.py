@@ -178,3 +178,49 @@ def test_sobolev_ratio_zero_field():
     z = field.ScalarField(spec=spec, values=np.zeros(spec.dims))
     assert field.sobolev_ratio(z, 4.0, 1.0) == 0.0
 
+
+
+def _whole_grid_functionals(fld, theta, p):
+    """Every integrand computed on the whole grid."""
+    rho = fld.values
+    vol = fld.spec.cell_volume
+    positive = rho > 0
+
+    def power_grad_integral(expo, q):
+        g = np.gradient(rho**expo, *fld.spec.spacing)
+        mag2 = g[0] ** 2 + g[1] ** 2 + g[2] ** 2
+        mag2[~positive] = 0.0
+        return vol * field._compensated_total(mag2 ** (q / 2.0))
+
+    gx, gy, gz = np.gradient(rho, *fld.spec.spacing)
+    return field.FunctionalSet(
+        mass=vol * field._compensated_total(rho),
+        l2=vol * field._compensated_total(rho**2),
+        l43=vol * field._compensated_total(rho ** (4.0 / 3.0)),
+        l53=vol * field._compensated_total(rho ** (5.0 / 3.0)),
+        kin=power_grad_integral(0.5, 2.0),
+        tv=vol * field._compensated_total(np.sqrt(gx**2 + gy**2 + gz**2)),
+        thg=power_grad_integral(theta, p),
+        theta=theta,
+        p=p,
+    )
+
+
+SUPPORTS = {
+    "sub_box": np.s_[7:19, 4:13, 9:30],
+    # touches the x = 0, y = n2 - 1 and both z faces
+    "grid_faces": np.s_[:6, 12:, :],
+}
+
+
+@pytest.mark.parametrize("theta, p", [(0.5, 4.0), (0.4, 3.5)])
+@pytest.mark.parametrize("support", SUPPORTS)
+def test_grid_functionals_equal_whole_grid_evaluation(support, theta, p):
+    spec = field.GridSpec((26, 17, 41), (0.09, 0.12, 0.07), (-1.0, -1.0, -1.4))
+    rng = np.random.default_rng(41)
+    values = np.zeros(spec.dims)
+    block = values[SUPPORTS[support]]
+    # vacuum nodes inside the support exercise the gradient override
+    block[...] = rng.uniform(0.0, 2.0, size=block.shape) * (rng.uniform(size=block.shape) > 0.2)
+    fld = field.ScalarField(spec, values)
+    assert field._grid_functionals(fld, theta, p) == _whole_grid_functionals(fld, theta, p)

@@ -262,3 +262,74 @@ def test_sample_field_matches_pointwise():
                                tiling.chi_values(cfg, 1, pts), atol=1e-12)
     with pytest.raises(ValueError):
         tiling.sample_field(cfg, 1, spec, kind="zeta")
+
+
+# one grid cuts through each of these tiles of the ell = 2 cube, one misses them
+SAMPLE_GRIDS = {
+    "clipping": field.GridSpec((23, 19, 21), (0.083, 0.091, 0.077), (-0.9, -1.1, -0.8)),
+    "apart": field.GridSpec((6, 7, 5), (0.1, 0.1, 0.1), (9.0, 9.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("grid", SAMPLE_GRIDS)
+@pytest.mark.parametrize("kind", ["chi", "xi"])
+@pytest.mark.parametrize("j", [1, 7, 24])
+def test_sample_field_equals_every_node_evaluation(j, kind, grid):
+    cfg = tiling.TilingConfig(2.0, 0.5)
+    spec = SAMPLE_GRIDS[grid]
+    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
+    values = tiling.chi_values if kind == "chi" else tiling.xi_values
+    want = values(cfg, j, pts).reshape(spec.dims)
+    got = tiling.sample_field(cfg, j, spec, kind=kind).values
+    np.testing.assert_array_equal(got, want)
+    assert got.any() == (grid == "clipping")
+
+
+def _reach_box_case():
+    cfg = tiling.TilingConfig(2.0, 0.5)
+    verts = tiling._tile_vertices(cfg, 7, False)
+    rs = cfg.smear_radius
+    pts = np.random.default_rng(7).uniform(-1.2, 1.2, size=(40000, 3))
+    return verts, rs, pts
+
+
+def test_reach_box_bounds_the_pushed_tile():
+    verts, rs, pts = _reach_box_case()
+    key = tiling._vertex_key(verts)
+    lo, hi = tiling._reach_box(key, rs)
+    normals, offsets = tiling._face_frames(key)[:2]
+    inside = np.all(pts @ normals.T - offsets < rs, axis=1)
+    assert np.all((pts[inside] >= lo) & (pts[inside] <= hi))
+    # T' holds the tile widened by the ball of radius rs, and its corners
+    # stay within a few rs of the tile's own
+    assert np.all(lo <= verts.min(axis=0) - rs + 1e-15)
+    assert np.all(hi >= verts.max(axis=0) + rs - 1e-15)
+    assert np.all(lo >= verts.min(axis=0) - 5 * rs)
+    assert np.all(hi <= verts.max(axis=0) + 5 * rs)
+
+
+def test_convolved_indicator_prefilter_keeps_every_value():
+    verts, rs, pts = _reach_box_case()
+    lo, hi = tiling._reach_box(tiling._vertex_key(verts), rs)
+    u, g = tiling.convolved_indicator(verts, rs, pts, want_grad=True)
+    inbox = np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert not u[~inbox].any() and not g[~inbox].any()
+    # the points outside the box were never active
+    u_in, g_in = tiling.convolved_indicator(verts, rs, pts[inbox], want_grad=True)
+    np.testing.assert_array_equal(u_in, u[inbox])
+    np.testing.assert_array_equal(g_in, g[inbox])
+
+
+def test_convolved_indicator_lone_box_point_keeps_its_value():
+    # One in-box point among far points gets the value it has beside
+    # in-box points that are not active: a box corner lies outside T'.
+    verts, rs, pts = _reach_box_case()
+    lo, _ = tiling._reach_box(tiling._vertex_key(verts), rs)
+    u = tiling.convolved_indicator(verts, rs, pts)
+    corner = np.tile(lo, (3, 1))
+    assert not tiling.convolved_indicator(verts, rs, corner).any()
+    far = np.full((3, 3), 50.0)
+    for i in np.flatnonzero((u > 0.0) & (u < 1.0))[:300]:
+        alone = tiling.convolved_indicator(verts, rs, np.vstack([pts[i], far]))
+        beside = tiling.convolved_indicator(verts, rs, np.vstack([pts[i], corner]))
+        assert alone[0] == beside[0]
