@@ -173,7 +173,7 @@ def gaussian_hartree(sigma, mass):
 
 
 @lru_cache(maxsize=64)
-def _bump_radial_table(radius, s_keys):
+def _bump_radial_table(s_keys):
     # cached radial quadratures for the compact bump, keyed by exponent tuple
     from scipy import integrate as _sciint
 
@@ -361,7 +361,7 @@ class CompactBump(Density):
     def sample(self, spec):
         X, Y, Z = spec.meshgrid()
         keys = (("norm", "pow", 1.0, 0),)
-        tab = _bump_radial_table(self.radius, keys)
+        tab = _bump_radial_table(keys)
         c = self.mass / (tab["norm"] * self.radius**3)
         r2 = (X**2 + Y**2 + Z**2) / self.radius**2
         vals = np.zeros_like(X)
@@ -385,7 +385,7 @@ class CompactBump(Density):
             ("tv", "grad", 1.0, 1.0),
             ("thg", "grad", theta, p),
         )
-        tab = _bump_radial_table(radius, keys)
+        tab = _bump_radial_table(keys)
         # rho(r) = c * exp(-1/(1-(r/R)^2)), c fixed by the mass
         c = mass / (tab["norm"] * radius**3)
         return FunctionalSet(
@@ -521,15 +521,6 @@ def scale_functionals(F, N):
 # tetrahedron-domain Sobolev quotient
 
 
-def _barycentric_inside(vertices, points):
-    # faces count as inside, to 1e-12 in barycentric coordinates
-    v = np.asarray(vertices, dtype=float)
-    T = np.column_stack([v[1] - v[0], v[2] - v[0], v[3] - v[0]])
-    lam = np.linalg.solve(T, (points - v[0]).T).T
-    lam0 = 1.0 - lam.sum(axis=1)
-    return (lam.min(axis=1) >= -1e-12) & (lam0 >= -1e-12)
-
-
 def sobolev_ratio(u, p, ell):
     """sup_T |u|^p / (ell^{p-3} int_T |grad u|^p) on T = ell * reference_tetra.
 
@@ -547,7 +538,7 @@ def sobolev_ratio(u, p, ell):
     spec = u.spec
     X, Y, Z = spec.meshgrid()
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    mask = _barycentric_inside(ell * tiling.reference_tetra(), pts).reshape(spec.dims)
+    mask = tiling.Tetra(ell * tiling.reference_tetra()).contains(pts).reshape(spec.dims)
     if not mask.any():
         raise PreconditionError("grid does not cover the tetrahedron")
     vals = np.abs(u.values[mask])

@@ -165,7 +165,6 @@ class TilingConfig:
                 f"smearing scale must lie in (0, ell/2), got delta={self.delta} "
                 f"with ell={self.ell}"
             )
-        object.__setattr__(self, "mollifier_norm", _mollifier_norm())
 
     @property
     def eps(self):
@@ -205,49 +204,20 @@ def mollifier_value(r):
     return out if out.ndim else float(out)
 
 
-_HAT_STEP = 1e-3
-_HAT_SMAX = 80.0
+def mollifier_hat(s):
+    """Unitary Fourier transform of eta_1, as a function of |k|.
 
-
-@lru_cache(maxsize=1)
-def _mollifier_hat_spline():
-    from scipy.interpolate import CubicSpline
-
-    s = np.arange(0.0, _HAT_SMAX + _HAT_STEP / 2, _HAT_STEP)
+    4 pi (2 pi)^{-3/2} int_0^1 eta_1(r) r sin(s r) dr / s, by a 200-node
+    Gauss-Legendre rule on [0, 1]; s = 0 gives (2 pi)^{-3/2} exactly.
+    """
+    s = np.abs(np.asarray(s, dtype=float))
     x, w = leggauss(200)
     x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    f = mollifier_value(x) * x * w
-    vals = np.sin(np.outer(s, x)) @ f
-    vals[1:] = 4.0 * math.pi * _UNITARY * vals[1:] / s[1:]
-    vals[0] = _UNITARY  # the integral of eta_1 is one
-    return CubicSpline(s, vals)
-
-
-def mollifier_hat(s):
-    """Unitary Fourier transform of eta_1, as a function of |k|."""
-    from scipy.integrate import quad
-
-    s = np.abs(np.asarray(s, dtype=float))
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    out = np.empty(s.shape)
-    near = s <= _HAT_SMAX
-    out[near] = _mollifier_hat_spline()(s[near])
-    for i in np.nonzero(~near)[0]:
-        # Oscillatory tail: let QUADPACK handle the sin factor explicitly.
-        si = s[i]
-        val, _ = quad(
-            lambda r: mollifier_value(r) * r,
-            0.0,
-            1.0,
-            weight="sin",
-            wvar=si,
-            epsabs=1e-14,
-            limit=200,
-        )
-        out[i] = 4.0 * math.pi * _UNITARY * val / si
-    return float(out[0]) if scalar else out
+    f = mollifier_value(x) * x * (0.5 * w)
+    out = np.full(s.shape, _UNITARY)  # the integral of eta_1 is one
+    nz = s != 0.0
+    out[nz] = 4.0 * math.pi * _UNITARY * (np.sin(np.multiply.outer(s[nz], x)) @ f) / s[nz]
+    return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=1)
@@ -373,16 +343,14 @@ _NUDGE_DIR = np.array([0.2319871039203040, 0.5483715558798305, 0.803484027697113
 _NUDGE_DIR = _NUDGE_DIR / np.linalg.norm(_NUDGE_DIR)
 
 
-def _solid_angle_sum(verts, pts):
-    """Sum of signed solid angles of the four outward faces (4 pi inside)."""
-    opposite = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
+def _solid_angle_sum(face_corners, pts):
+    """Sum of signed solid angles of the four outward faces (4 pi inside).
+
+    face_corners is the ea array of _face_frames: the corners (a, b, c) of
+    each face in outward order.
+    """
     total = np.zeros(len(pts))
-    frames = _face_frames(_vertex_key(verts))
-    normals = frames[0]
-    for f, tri in enumerate(opposite):
-        a, b, c = (verts[i] for i in tri)
-        if np.dot(np.cross(b - a, c - a), normals[f]) < 0.0:
-            b, c = c, b
+    for a, b, c in face_corners:
         r1 = a - pts
         r2 = b - pts
         r3 = c - pts
@@ -475,7 +443,7 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
         ta[degenerate] = tad
         tb[degenerate] = tbd
 
-    omega = _solid_angle_sum(verts, p)
+    omega = _solid_angle_sum(ea, p)
     corr = np.zeros(len(p))
     gvec = np.zeros((len(p), 3))
     rs2 = rs * rs

@@ -78,6 +78,27 @@ def test_mollifier_mass():
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-3, 0.5, 2.0, 5.0, 20.0, 79.0, 81.0, 200.0, 400.0])
+def test_mollifier_hat_matches_quadpack(s):
+    """The Gauss-rule transform against QUADPACK's sin-weighted rule."""
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda r: tiling.mollifier_value(r) * r, 0.0, 1.0,
+                  weight="sin", wvar=s, epsabs=1e-14, limit=200)
+    ref = 4.0 * math.pi * (2.0 * math.pi) ** -1.5 * val / s
+    assert tiling.mollifier_hat(s) == pytest.approx(ref, rel=0.0, abs=1e-15)
+
+
+def test_mollifier_hat_contract():
+    assert tiling.mollifier_hat(0.0) == (2.0 * math.pi) ** -1.5
+    s = np.array([[0.0, 0.3], [2.5, 90.0]])
+    got = tiling.mollifier_hat(s)
+    assert isinstance(got, np.ndarray) and got.shape == s.shape
+    assert np.array_equal(tiling.mollifier_hat(-s), got)
+    assert type(tiling.mollifier_hat(2.5)) is float
+    assert tiling.mollifier_hat(-2.5) == tiling.mollifier_hat(2.5)
+
+
 def test_tetra_fourier_volume_at_zero():
     ref = tiling.unit_cube_tetrahedra()[0]
     got = tiling.tetra_fourier(ref.vertices, np.zeros(3))
