@@ -6,16 +6,17 @@ radius R = the original box diagonal (Vico, Greengard & Ferrando, J.
 Comput. Phys. 323, 2016).  That scheme is alias-free only when the padded
 length P satisfies P >= L + R, and R = sqrt(3) L breaks it for P = 2L, so
 periodic images still enter at a small relative level; see ROADMAP.md,
-"Alias-free Coulomb kernel".  The convolution runs as per-axis real and
-complex FFTs that skip the all-zero padding lines and crop before each
-inverse pass, with the kernel built once per grid and cached.  Lines that
-miss the support box of the field, the bounding box of its nonzero nodes,
-are skipped as well, so a density that vanishes on most of its grid (a
-smeared tile) pays mostly for its box; the values are those of the
-whole-grid transform.  The same
-truncated kernel backs the reciprocal-space moment integrals and the
-translation-averaged localization identity.  The annulus convolution is an
-independent 1D radial reduction used by the tiling error analysis.
+item 4, "Alias-free grid Coulomb, one kernel per grid shape".  The
+convolution runs as per-axis real and complex FFTs that skip the
+all-zero padding lines and crop before each inverse pass, with the
+kernel built once per grid and cached.  Lines that miss the support box
+of the field, the bounding box of its nonzero nodes, are skipped as
+well, so a density that vanishes on most of its grid (a smeared tile)
+pays mostly for its box; the values are those of the whole-grid
+transform.  The same truncated kernel backs the reciprocal-space moment
+integrals and the translation-averaged localization identity.  The
+annulus convolution is an independent 1D radial reduction used by the
+tiling error analysis.
 """
 
 from __future__ import annotations

@@ -47,10 +47,11 @@ def _compensated_total(values):
     Independent of numpy's internal blocking, so reruns are bit-identical.
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    full = flat.size - flat.size % _CHUNK
+    chunks = flat[:full].reshape(-1, _CHUNK).sum(axis=1).tolist()
     s = 0.0
     c = 0.0
-    for start in range(0, flat.size, _CHUNK):
-        x = float(np.sum(flat[start:start + _CHUNK]))
+    for x in chunks + [float(np.sum(flat[full:]))]:  # an empty tail adds 0.0, a no-op
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x

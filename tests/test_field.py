@@ -224,3 +224,24 @@ def test_grid_functionals_equal_whole_grid_evaluation(support, theta, p):
     block[...] = rng.uniform(0.0, 2.0, size=block.shape) * (rng.uniform(size=block.shape) > 0.2)
     fld = field.ScalarField(spec, values)
     assert field._grid_functionals(fld, theta, p) == _whole_grid_functionals(fld, theta, p)
+
+
+def _chunk_loop_total(values):
+    """One np.sum per 4096-node chunk, Neumaier across: the loop that
+    _compensated_total vectorises."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    s = c = 0.0
+    for start in range(0, flat.size, 4096):
+        x = float(np.sum(flat[start:start + 4096]))
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+def test_compensated_total_equals_chunk_loop():
+    rng = np.random.default_rng(7)
+    cube = rng.normal(size=(40, 41, 43)) * 10.0 ** rng.uniform(-12, 12, size=(40, 41, 43))
+    for values in (cube, cube[::2, 3:, ::3], cube.transpose(2, 0, 1), cube[0, 0, :5],
+                   cube.astype(np.float32), np.zeros(0), np.float64(2.5), np.zeros(3 * 4096)):
+        assert field._compensated_total(values) == _chunk_loop_total(values)

@@ -97,35 +97,70 @@ def test_mollifier_hat_contract():
     assert np.array_equal(tiling.mollifier_hat(-s), got)
     assert type(tiling.mollifier_hat(2.5)) is float
     assert tiling.mollifier_hat(-2.5) == tiling.mollifier_hat(2.5)
+    assert abs(tiling.mollifier_hat(1e-8) / tiling.mollifier_hat(0.0) - 1.0) <= 1e-15
 
 
 def test_tetra_fourier_volume_at_zero():
     ref = tiling.unit_cube_tetrahedra()[0]
     got = tiling.tetra_fourier(ref.vertices, np.zeros(3))
     assert got == pytest.approx((2.0 * math.pi) ** -1.5 / 24.0, rel=1e-12)
+    with pytest.raises(ValueError, match="finite"):
+        tiling.tetra_fourier(ref.vertices, [np.nan, 0.0, 0.0])
 
 
-def test_tetra_fourier_confluent_rows_match_per_row_expm():
-    """The stacked matrix exponential equals one expm call per confluent row,
-    bit for bit, on the contracted tiles of a k_max = 3, eps = 0.15 sum."""
-    from scipy.linalg import expm
+def _hermite_genocchi(a, n=32):
+    """exp[z_0, .., z_3] at z_j = -i a_j for each row of a, as the simplex
+    integral of exp(sum_j t_j z_j): a Duffy-collapsed n^3 Gauss-Legendre
+    rule, t = (1 - u, u(1 - v), uv(1 - w), uvw) with Jacobian u^2 v."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    U, V, W = np.meshgrid(x, x, x, indexing="ij")
+    t = np.stack([1.0 - U, U * (1.0 - V), U * V * (1.0 - W), U * V * W], axis=-1)
+    wt = (w[:, None, None] * w[None, :, None] * w[None, None, :] * U * U * V).ravel()
+    phase = a @ t.reshape(-1, 4).T
+    return np.cos(phase) @ wt - 1j * (np.sin(phase) @ wt)
 
-    eps = 0.15
-    m = np.array([mm for mm in itertools.product(range(-3, 4), repeat=3) if any(mm)])
+
+@pytest.mark.parametrize("k_max,eps", [(3, 0.15), (3, 0.1), (4, 0.1), (4, 0.025)])
+def test_tetra_fourier_matches_hermite_genocchi(k_max, eps):
+    """Contracted tiles of a lattice sum against an independent simplex
+    quadrature, on a seeded sample of the rows: phases that coincide
+    exactly, phases within 0.05 of each other (on these lattices only
+    rounding apart), the widest phase spreads and well separated phases."""
+    m = np.array([mm for mm in itertools.product(range(-k_max, k_max + 1), repeat=3)
+                  if any(mm)])
     kv = 2.0 * math.pi * m
-    n_confluent = 0
-    for tile in tiling.unit_cube_tetrahedra():
-        verts = tile.centroid + (1.0 - eps) * (tile.vertices - tile.centroid)
-        got = tiling._tetra_fourier_batch(verts, kv)
-        vol = abs(tiling._signed_volume(verts))
-        for i, a in enumerate(kv @ verts.T):
-            gaps = np.abs(a[:, None] - a[None, :]) + 4.0 * np.eye(4)
-            if gaps.min() >= tiling._SEP_THRESHOLD:
-                continue
-            n_confluent += 1
-            z = np.diag(-1j * a) + np.diag(np.ones(3), 1)
-            assert got[i] == tiling._UNITARY * (6.0 * vol * expm(z)[0, 3]), (tile, i)
-    assert n_confluent == 4944
+    tiles = np.array([t.vertices for t in tiling.unit_cube_tetrahedra()])
+    c = tiles.mean(axis=1, keepdims=True)
+    verts = c + (1.0 - eps) * (tiles - c)
+    vol = np.abs(np.linalg.det(verts[:, 1:] - verts[:, :1])) / 6.0
+    dd = (tiling._tetra_fourier_batch(verts, kv) / (6.0 * tiling._UNITARY * vol[:, None])).ravel()
+    a = np.einsum("nd,tvd->tnv", kv, verts).reshape(-1, 4)
+
+    gap = np.min(np.abs(a[:, :, None] - a[:, None, :]) + 4.0 * np.eye(4), axis=(1, 2))
+    if (k_max, eps) == (3, 0.15):
+        assert np.count_nonzero(gap < 0.05) == 4944
+    rng = np.random.default_rng(k_max * 1000 + round(1000 * eps))
+    rows = np.unique(np.concatenate([
+        rng.choice(np.flatnonzero(gap == 0.0), 30, replace=False),
+        rng.choice(np.flatnonzero((gap > 0.0) & (gap < 0.05)), 30, replace=False),
+        rng.choice(np.flatnonzero(gap >= 0.05), 20, replace=False),
+        np.argsort(np.ptp(a, axis=1))[-10:],
+    ]))
+    err = np.abs(dd[rows] - _hermite_genocchi(a[rows]))
+    assert err.max() <= 1e-15, (rows[np.argmax(err)], err.max())
+
+
+def test_exp_divided_difference_across_phase_gaps():
+    """Rows with one pair of phases at gaps from 1e-9 to 0.5, just either
+    side of 0.05 included, against the simplex quadrature."""
+    rng = np.random.default_rng(2024)
+    gaps = np.repeat([1e-9, 1e-4, 0.01, 0.049, 0.0499, 0.05, 0.0501, 0.051, 0.1, 0.5], 4)
+    a = rng.uniform(-15.0, 15.0, size=(len(gaps), 4))
+    a[:, 1] = a[:, 0] + gaps
+    got = tiling._exp_divided_difference(-1j * a)
+    assert np.abs(got - _hermite_genocchi(a)).max() <= 1e-15
 
 
 def test_tetra_fourier_quadrature_oracle():
@@ -183,6 +218,8 @@ def test_reduced_sum_vanishes_at_zero_contraction():
         tiling.reduced_sum(0.5, k)
     with pytest.raises(ValueError):
         tiling.reduced_sum(0.1, np.zeros(3))
+    with pytest.raises(ValueError):
+        tiling.reduced_sum(0.1, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_reduced_sum_of_rows():
