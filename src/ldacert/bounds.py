@@ -126,28 +126,79 @@ def energy_lower(F, q=1, c_lt=None):
     return _spin(q) ** (-2.0 / 3.0) * c_lt * F.l53 - C_LO * F.l43, conjectured
 
 
-def energy_upper_min(F, q=1):
-    """Minimize the variational ceiling kinetic.t_upper(F, eps, q) over eps:
-    400-point log grid on [1e-4, 1e3], then a golden-section polish between
-    the argmin's neighbors (the curve is convex in eps, so the bracket is
-    sound)."""
-    from scipy import optimize as _sciopt
+def _gprime_sign(eps, A, B, D, e1, e2):
+    # sign of g'(eps) = A - e1 B / eps^{e1+1} - e2 D / eps^{e2+1},
+    # robust to overflow of the negative powers for tiny eps
+    try:
+        val = A - e1 * B / eps ** (e1 + 1.0) - e2 * D / eps ** (e2 + 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return -1.0
+    if math.isnan(val):
+        return -1.0
+    return math.copysign(1.0, val) if val != 0.0 else 0.0
 
+
+def optimize_eps(A, B, D, e1=1.0, e2=15.0):
+    """Minimize g(eps) = A eps + B/eps^e1 + D/eps^e2 over eps > 0.
+
+    The one eps optimizer of the package: the certificate's rhs and the
+    variational ceiling energy_upper_min both call it.  g is strictly
+    convex when A > 0 and 0 < e1 < e2, so g' has a unique root, found by
+    bracketed bisection to relative width 1e-10.  A = 0 makes g
+    nonincreasing and the boundary eps = 1 is returned; B = D = 0 makes
+    the infimum 0 at eps -> 0 (the exactly-flat case).
+    """
+    if not all(math.isfinite(c) for c in (A, B, D)):
+        raise ValueError(f"coefficients must be finite, got A={A} B={B} D={D}")
+    if A < 0 or B < 0 or D < 0:
+        raise ValueError("coefficients must be nonnegative")
+    if not 0.0 < e1 < e2 < math.inf:
+        raise ValueError(f"need finite e2 > e1 > 0, got e1={e1} e2={e2}")
+    if A == 0.0 and B == 0.0 and D == 0.0:
+        raise ValueError("degenerate objective: all coefficients zero")
+    if A == 0.0:
+        return 1.0, B + D
+    if B == 0.0 and D == 0.0:
+        return 0.0, 0.0
+
+    lo = hi = 1.0
+    while _gprime_sign(lo, A, B, D, e1, e2) > 0.0:
+        lo *= 0.5
+    while _gprime_sign(hi, A, B, D, e1, e2) < 0.0:
+        hi *= 2.0
+    while hi - lo > 1e-10 * (lo + hi):
+        mid = 0.5 * (lo + hi)
+        if _gprime_sign(mid, A, B, D, e1, e2) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    eps = 0.5 * (lo + hi)
+    return eps, A * eps + B / eps**e1 + D / eps**e2
+
+
+def energy_upper_min(F, q=1):
+    """Minimize the variational ceiling kinetic.t_upper(F, eps, q) over eps > 0.
+
+    With a = q^{-2/3} c_TF l53, the general variant expands to
+
+        a + KAPPA_2 kin + a KAPPA_1 eps + 2 KAPPA_2 kin eps^{-1/2}
+        + KAPPA_2 kin eps^{-1},
+
+    so its minimizer is optimize_eps's with exponents 1/2 and 1, and the
+    ceiling is t_upper at that eps.  The two one-sided cases return their
+    infimum: a as eps -> 0 when kin = 0, and KAPPA_2 kin as eps -> inf
+    when a = 0.  Returns (value, eps).
+    """
     from . import kinetic
 
-    grid = np.logspace(-4.0, 3.0, 400)
-    vals = np.array([kinetic.t_upper(F, e, q) for e in grid])
-    i = int(np.argmin(vals))
+    a = _tf_coefficient(q) * F.l53
     if F.kin == 0.0:
-        return float(vals[i]), float(grid[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = _sciopt.minimize_scalar(
-        lambda e: kinetic.t_upper(F, e, q), bracket=None, bounds=(lo, hi),
-        method="bounded", options={"xatol": 1e-12})
-    if res.fun <= vals[i]:
-        return float(res.fun), float(res.x)
-    return float(vals[i]), float(grid[i])
+        return a, 0.0
+    if a == 0.0:
+        return KAPPA_2 * F.kin, math.inf
+    eps, _ = optimize_eps(a * KAPPA_1, 2.0 * KAPPA_2 * F.kin, KAPPA_2 * F.kin,
+                          0.5, 1.0)
+    return kinetic.t_upper(F, eps, q), eps
 
 
 def lieb_oxford_gradient_bound(F, eps):

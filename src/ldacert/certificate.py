@@ -131,54 +131,6 @@ def band_center(F, params, model):
 # eps optimization
 
 
-def _gprime_sign(eps, A, B, D, e1, e2):
-    # sign of g'(eps) = A - e1 B / eps^{e1+1} - e2 D / eps^{e2+1},
-    # robust to overflow of the negative powers for tiny eps
-    try:
-        val = A - e1 * B / eps ** (e1 + 1.0) - e2 * D / eps ** (e2 + 1.0)
-    except (OverflowError, ZeroDivisionError):
-        return -1.0
-    if math.isnan(val):
-        return -1.0
-    return math.copysign(1.0, val) if val != 0.0 else 0.0
-
-
-def optimize_eps(A, B, D, e1=1.0, e2=15.0):
-    """Minimize g(eps) = A eps + B/eps^e1 + D/eps^e2 over eps > 0.
-
-    g is strictly convex when A > 0, so g' has a unique root, found by
-    bracketed bisection to relative width 1e-10.  A = 0 makes g
-    nonincreasing and the boundary eps = 1 is returned; B = D = 0 makes
-    the infimum 0 at eps -> 0 (the exactly-flat case).
-    """
-    if not all(math.isfinite(c) for c in (A, B, D)):
-        raise ValueError(f"coefficients must be finite, got A={A} B={B} D={D}")
-    if A < 0 or B < 0 or D < 0:
-        raise ValueError("coefficients must be nonnegative")
-    if not 1.0 <= e1 < e2 < math.inf:
-        raise ValueError(f"need finite e2 > e1 >= 1, got e1={e1} e2={e2}")
-    if A == 0.0 and B == 0.0 and D == 0.0:
-        raise ValueError("degenerate objective: all coefficients zero")
-    if A == 0.0:
-        return 1.0, B + D
-    if B == 0.0 and D == 0.0:
-        return 0.0, 0.0
-
-    lo = hi = 1.0
-    while _gprime_sign(lo, A, B, D, e1, e2) > 0.0:
-        lo *= 0.5
-    while _gprime_sign(hi, A, B, D, e1, e2) < 0.0:
-        hi *= 2.0
-    while hi - lo > 1e-10 * (lo + hi):
-        mid = 0.5 * (lo + hi)
-        if _gprime_sign(mid, A, B, D, e1, e2) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    eps = 0.5 * (lo + hi)
-    return eps, A * eps + B / eps**e1 + D / eps**e2
-
-
 def _optimum(F, params):
     """(eps_star, total, flat) for the variant's rhs."""
     A, e2, has_kin = _variant_terms(F, params)
@@ -187,7 +139,7 @@ def _optimum(F, params):
     D = params.C * F.thg
     if A == 0.0 and B == 0.0 and D == 0.0:
         return 0.0, 0.0, True
-    eps, g = optimize_eps(A, B, D, 1.0, e2)
+    eps, g = bounds.optimize_eps(A, B, D, 1.0, e2)
     if eps == 0.0:
         return 0.0, 0.0, True
     return eps, g + B, False

@@ -61,7 +61,9 @@ def _guarded(fn):
         except (field.SupportError, kinetic.SolverError) as exc:
             click.echo(f"accuracy failure: {exc}", err=True)
             sys.exit(3)
-        except (FileNotFoundError, ValueError) as exc:
+        except (FileNotFoundError, ValueError, ArithmeticError) as exc:
+            # ArithmeticError: finite parameters whose functionals overflow
+            # or divide by zero (for instance a gaussian with sigma = 1e-200)
             click.echo(f"parameter rejection: {exc}", err=True)
             sys.exit(2)
 
@@ -322,8 +324,8 @@ def _suite_coulomb():
 
 def _suite_lemmas():
     checks = []
-    e1, g1 = certificate.optimize_eps(1.0, 1.0, 0.0, 1.0, 15.0)
-    e2, g2 = certificate.optimize_eps(1.0, 0.0, 1.0, 1.0, 15.0)
+    e1, g1 = bounds.optimize_eps(1.0, 1.0, 0.0, 1.0, 15.0)
+    e2, g2 = bounds.optimize_eps(1.0, 0.0, 1.0, 1.0, 15.0)
     res = max(abs(e1 - 1.0), abs(g1 - 2.0),
               abs(e2 - 15.0 ** (1.0 / 16.0)),
               abs(g2 - (15.0 ** (1.0 / 16.0) + 15.0 ** (-15.0 / 16.0))))

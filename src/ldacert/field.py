@@ -173,25 +173,25 @@ def gaussian_hartree(sigma, mass):
     return mass**2 / (2.0 * math.sqrt(math.pi) * sigma)
 
 
-@lru_cache(maxsize=64)
-def _bump_radial_table(s_keys):
-    # cached radial quadratures for the compact bump, keyed by exponent tuple
+@lru_cache(maxsize=128)
+def _bump_radial_integral(kind, a, b):
+    """One cached radial quadrature of the unit bump rho = exp(-1/(1-u^2)).
+
+    kind "pow" gives int rho^a (b unused), kind "grad" int |grad rho^a|^b,
+    both over the unit ball.
+    """
     from scipy import integrate as _sciint
 
-    out = {}
-    for key, kind, a, b in s_keys:
-        if kind == "pow":
-            f = lambda u: math.exp(-a / (1.0 - u * u)) * u * u
-        elif kind == "grad":
-            # |d/dr rho^a|^b with rho = exp(-1/(1-u^2)) up to amplitude
-            f = lambda u: (
-                math.exp(-a * b / (1.0 - u * u))
-                * (a * 2.0 * u / (1.0 - u * u) ** 2) ** b
-                * u * u
-            )
-        val, _ = _sciint.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-        out[key] = 4.0 * math.pi * val
-    return out
+    if kind == "pow":
+        f = lambda u: math.exp(-a / (1.0 - u * u)) * u * u
+    else:
+        f = lambda u: (
+            math.exp(-a * b / (1.0 - u * u))
+            * (a * 2.0 * u / (1.0 - u * u) ** 2) ** b
+            * u * u
+        )
+    val, _ = _sciint.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return 4.0 * math.pi * val
 
 
 def _support_box(values, pad=0):
@@ -361,9 +361,7 @@ class CompactBump(Density):
 
     def sample(self, spec):
         X, Y, Z = spec.meshgrid()
-        keys = (("norm", "pow", 1.0, 0),)
-        tab = _bump_radial_table(keys)
-        c = self.mass / (tab["norm"] * self.radius**3)
+        c = self.mass / (_bump_radial_integral("pow", 1.0, 0.0) * self.radius**3)
         r2 = (X**2 + Y**2 + Z**2) / self.radius**2
         vals = np.zeros_like(X)
         inside = r2 < 1.0
@@ -377,27 +375,18 @@ class CompactBump(Density):
         radius, mass = self.radius, self.mass
         if mass == 0.0:
             return FunctionalSet(0, 0, 0, 0, 0, 0, 0, theta=theta, p=p)
-        keys = (
-            ("norm", "pow", 1.0, 0),
-            ("l2", "pow", 2.0, 0),
-            ("l43", "pow", 4.0 / 3.0, 0),
-            ("l53", "pow", 5.0 / 3.0, 0),
-            ("kin", "grad", 0.5, 2.0),
-            ("tv", "grad", 1.0, 1.0),
-            ("thg", "grad", theta, p),
-        )
-        tab = _bump_radial_table(keys)
+        integral = _bump_radial_integral
         # rho(r) = c * exp(-1/(1-(r/R)^2)), c fixed by the mass
-        c = mass / (tab["norm"] * radius**3)
+        c = mass / (integral("pow", 1.0, 0.0) * radius**3)
         return FunctionalSet(
             mass=mass,
-            l2=c**2 * radius**3 * tab["l2"],
-            l43=c ** (4.0 / 3.0) * radius**3 * tab["l43"],
-            l53=c ** (5.0 / 3.0) * radius**3 * tab["l53"],
+            l2=c**2 * radius**3 * integral("pow", 2.0, 0.0),
+            l43=c ** (4.0 / 3.0) * radius**3 * integral("pow", 4.0 / 3.0, 0.0),
+            l53=c ** (5.0 / 3.0) * radius**3 * integral("pow", 5.0 / 3.0, 0.0),
             # gradient quadratures carry one 1/R per derivative
-            kin=c * radius * tab["kin"],
-            tv=c * radius**2 * tab["tv"],
-            thg=c ** (theta * p) * radius ** (3.0 - p) * tab["thg"],
+            kin=c * radius * integral("grad", 0.5, 2.0),
+            tv=c * radius**2 * integral("grad", 1.0, 1.0),
+            thg=c ** (theta * p) * radius ** (3.0 - p) * integral("grad", theta, p),
             theta=theta,
             p=p,
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import KAPPA_1, KAPPA_2, _spin, _tf_coefficient, c_tf
+from .bounds import KAPPA_1, KAPPA_2, _tf_coefficient
 
 
 class SolverError(RuntimeError):
@@ -117,30 +117,27 @@ def _minv_closed(eps, a):
 
 
 def moments(env):
-    """Moment integrals: m0, minv, fisher0 closed form; m2d, fisher by quad.
+    """Moment integrals: m0, minv, fisher, fisher0 closed form; m2d by quad.
 
     m2d = int t^{2/3} eta, the 2/d power moment in d = 3.
-    fisher = int t^2 eta'^2/eta, fisher0 = int eta'^2/eta; on the parabolic
-    lobes eta'^2/eta = 4c identically, so fisher0 = 8c*eps = 12/eps^2.
+    fisher = int t^2 eta'^2/eta, fisher0 = int eta'^2/eta.  On the parabolic
+    lobes eta'^2/eta = 4c identically, so fisher0 = 8c*eps = 12/eps^2 and
+    fisher = 4c ((a + 2 eps)^3 - a^3)/3 = 12 (a^2 + 2 a eps + 4 eps^2/3)/eps^2.
     """
     from scipy import integrate as _sciint
 
     a, eps = env.a, env.eps
     mid, top = a + eps, a + 2.0 * eps
     m2d = 0.0
-    fisher = 0.0
     for lo, hi in ((a, mid), (mid, top)):
         v, _ = _sciint.quad(lambda t: env.value(t) * t ** (2.0 / 3), lo, hi,
                             epsabs=1e-13, epsrel=1e-11)
         m2d += v
-        v, _ = _sciint.quad(
-            lambda t: 4.0 * env.c * t**2, lo, hi, epsabs=1e-13, epsrel=1e-11)
-        fisher += v
     return Moments(
         m0=1.0,
         minv=_minv_closed(eps, a),
         m2d=m2d,
-        fisher=fisher,
+        fisher=12.0 * (a * a + 2.0 * a * eps + 4.0 * eps**2 / 3.0) / eps**2,
         fisher0=12.0 / eps**2,
     )
 
@@ -194,7 +191,7 @@ def t_upper(F, eps, q=1, variant="general"):
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if variant == "general":
-        return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 + KAPPA_1 * eps) * F.l53
+        return (_tf_coefficient(q) * (1.0 + KAPPA_1 * eps) * F.l53
                 + KAPPA_2 * (1.0 + math.sqrt(eps)) ** 2 / eps * F.kin)
     if variant == "3d-small-eps":
         if eps > 1.0:
@@ -206,14 +203,14 @@ def t_upper(F, eps, q=1, variant="general"):
 
 def t_lower_lt(F, q=1):
     """Lieb-Thirring kinetic lower bound with the conjectured constant c_TF."""
-    return _spin(q) ** (-2.0 / 3) * c_tf(3) * F.l53
+    return _tf_coefficient(q) * F.l53
 
 
 def t_lower_nam(F, eps, q=1):
     """Gradient-corrected semiclassical lower bound (gradient constant 1)."""
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return (_spin(q) ** (-2.0 / 3) * c_tf(3) * (1.0 - eps) * F.l53
+    return (_tf_coefficient(q) * (1.0 - eps) * F.l53
             - 1.0 / eps ** (3.0 + 4.0 / 3) * F.kin)
 
 
@@ -225,30 +222,26 @@ def t_lower_ho(F):
 def kinetic_band(F, q=1):
     """Two-sided bracket on the lowest kinetic energy.
 
-    eps is optimized on a 200-point log grid in [1e-4, 1], independently
-    for the gradient-corrected lower bound and for each upper-bound
-    variant; the Lieb-Thirring and Hoffmann-Ostenhof floors are max'd in.
-    Returns (lower, upper, eps_lower, eps_upper).
+    With a = q^{-2/3} c_TF l53 (the Lieb-Thirring value LT):
+
+    - lower = max(LT, HO).  Nam's bound a (1 - eps) - kin eps^{-13/3} lies
+      below LT for every eps in (0, 1), so it never wins.
+    - upper = the 3d-small-eps variant a (1 + eps^2/15) + 19 kin/eps^2 at
+      its minimizer on (0, 1], eps = min((285 kin/a)^{1/4}, 1).  On (0, 1]
+      the general variant is at least a + 2 sqrt(48 a kin) and at least
+      a + 192 kin, so its minimum is never the lower one:
+        interior optimum: a + 2 sqrt(19 a kin/15) < a + 2 sqrt(48 a kin);
+        clamped at eps = 1: 16a/15 + 19 kin < a + 192 kin, as kin >= a/285.
+      With kin = 0 the upper value is the infimum a, approached as eps -> 0.
+
+    Returns (lower, upper, eps_lower, eps_upper); eps_lower is None, as
+    neither lower bound has an eps.
     """
     if F.mass == 0.0 and F.kin == 0.0:
         return 0.0, 0.0, None, None
-    grid = np.logspace(-4.0, 0.0, 200)
-    nam = np.array([t_lower_nam(F, e, q) for e in grid[grid < 1.0]])
-    lower_candidates = {
-        "lt": (t_lower_lt(F, q), None),
-        "ho": (t_lower_ho(F), None),
-    }
-    if nam.size:
-        i = int(np.argmax(nam))
-        lower_candidates["nam"] = (float(nam[i]), float(grid[i]))
-    lower, eps_lower = max(lower_candidates.values(), key=lambda t: t[0])
-
-    uppers = []
-    for e in grid:
-        u = t_upper(F, e, q, "general")
-        if e <= 1.0:
-            u = min(u, t_upper(F, e, q, "3d-small-eps"))
-        uppers.append(u)
-    i = int(np.argmin(uppers))
-    upper, eps_upper = float(uppers[i]), float(grid[i])
-    return lower, upper, eps_lower, eps_upper
+    a = t_lower_lt(F, q)
+    lower = max(a, t_lower_ho(F))
+    if F.kin == 0.0:
+        return lower, a, None, 0.0
+    eps = 1.0 if 285.0 * F.kin >= a else (285.0 * F.kin / a) ** 0.25
+    return lower, t_upper(F, eps, q, "3d-small-eps"), None, eps

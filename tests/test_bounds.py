@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ldacert import bounds, field, kinetic
@@ -92,3 +94,65 @@ def test_lieb_oxford_gradient_bound(gauss_F):
     assert isinstance(improves, bool)
     with pytest.raises(ValueError):
         bounds.lieb_oxford_gradient_bound(gauss_F, 0.0)
+
+
+def _bounded_polish_reference(F, q):
+    # the 400-point log grid on [1e-4, 1e3] and bounded golden-section polish
+    # that energy_upper_min used before it called optimize_eps
+    from scipy import optimize
+
+    grid = np.logspace(-4.0, 3.0, 400)
+    vals = np.array([kinetic.t_upper(F, e, q) for e in grid])
+    i = int(np.argmin(vals))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = optimize.minimize_scalar(
+        lambda e: kinetic.t_upper(F, e, q), bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-12})
+    if res.fun <= vals[i]:
+        return float(res.fun), float(res.x)
+    return float(vals[i]), float(grid[i])
+
+
+def _random_sets(seed, count):
+    # l53 and kin log-uniform on [1e-4, 1e4], q = 1 or 2
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        l53, kin = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        F = field.FunctionalSet(mass=1.0, l2=1.0, l43=1.0, l53=float(l53),
+                                kin=float(kin), tv=1.0, thg=1.0, theta=0.5, p=4.0)
+        yield F, int(rng.integers(1, 3))
+
+
+def test_energy_upper_min_matches_bounded_polish(gauss_F):
+    inside = capped = 0
+    for F, q in [(gauss_F, 1), *_random_sets(20261018, 120)]:
+        val, eps = bounds.energy_upper_min(F, q)
+        ref, ref_eps = _bounded_polish_reference(F, q)
+        assert val == kinetic.t_upper(F, eps, q)
+        if ref_eps < 1e3 * (1.0 - 1e-9):
+            inside += 1
+            assert val == pytest.approx(ref, rel=1e-14)
+        else:
+            # the grid capped eps at 1e3; the exact optimum lies beyond it
+            capped += 1
+            assert val <= ref
+    assert inside > 0 and capped > 0
+
+
+def test_optimize_eps_fractional_exponents():
+    # g = eps + 2/sqrt(eps) + 1/eps: g' = 1 - eps^{-3/2} - eps^{-2} = 0
+    eps, val = bounds.optimize_eps(1.0, 2.0, 1.0, 0.5, 1.0)
+    assert 1.0 - eps**-1.5 - eps**-2.0 == pytest.approx(0.0, abs=1e-9)
+    assert val == pytest.approx(eps + 2.0 / math.sqrt(eps) + 1.0 / eps, rel=1e-15)
+    with pytest.raises(ValueError, match="finite e2"):
+        bounds.optimize_eps(1.0, 1.0, 1.0, e1=0.0, e2=1.0)
+
+
+def test_energy_upper_min_one_sided_infima(gauss_F):
+    # kin = 0: the infimum a, approached as eps -> 0; l53 = 0: KAPPA_2 kin,
+    # approached as eps -> inf.  Neither raises on its eps limit.
+    flat = dataclasses.replace(gauss_F, kin=0.0)
+    a = bounds._tf_coefficient(1) * gauss_F.l53
+    assert bounds.energy_upper_min(flat) == (a, 0.0)
+    thin = dataclasses.replace(gauss_F, l53=0.0)
+    assert bounds.energy_upper_min(thin) == (bounds.KAPPA_2 * gauss_F.kin, math.inf)

@@ -45,29 +45,29 @@ def test_classical_exponent():
 
 
 def test_optimize_eps_pinned():
-    assert certificate.optimize_eps(1.0, 1.0, 0.0) == pytest.approx((1.0, 2.0),
+    assert bounds.optimize_eps(1.0, 1.0, 0.0) == pytest.approx((1.0, 2.0),
                                                                     rel=1e-9)
-    eps, val = certificate.optimize_eps(1.0, 0.0, 1.0, 1.0, 15.0)
+    eps, val = bounds.optimize_eps(1.0, 0.0, 1.0, 1.0, 15.0)
     assert eps == pytest.approx(15.0 ** (1.0 / 16.0), rel=1e-9)
     assert val == pytest.approx(15.0 ** (1.0 / 16.0) + 15.0 ** (-15.0 / 16.0),
                                 rel=1e-9)
-    assert certificate.optimize_eps(0.0, 0.3, 0.2) == (1.0, 0.5)
-    assert certificate.optimize_eps(2.0, 0.0, 0.0) == (0.0, 0.0)
+    assert bounds.optimize_eps(0.0, 0.3, 0.2) == (1.0, 0.5)
+    assert bounds.optimize_eps(2.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_optimize_eps_gates():
     with pytest.raises(ValueError):
-        certificate.optimize_eps(0.0, 0.0, 0.0)
+        bounds.optimize_eps(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        certificate.optimize_eps(1.0, -0.1, 0.0)
+        bounds.optimize_eps(1.0, -0.1, 0.0)
     with pytest.raises(ValueError):
-        certificate.optimize_eps(1.0, 1.0, 1.0, e1=2.0, e2=1.0)
+        bounds.optimize_eps(1.0, 1.0, 1.0, e1=2.0, e2=1.0)
     # a non-finite coefficient used to stall the bracket search
     for coeffs in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)):
         with pytest.raises(ValueError, match="must be finite"):
-            certificate.optimize_eps(*coeffs)
+            bounds.optimize_eps(*coeffs)
     with pytest.raises(ValueError, match="finite e2"):
-        certificate.optimize_eps(1.0, 1.0, 1.0, e1=1.0, e2=math.inf)
+        bounds.optimize_eps(1.0, 1.0, 1.0, e1=1.0, e2=math.inf)
 
 
 def test_rhs_breakdown_and_linearity(gauss_F):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ldacert
 from ldacert import cli, field
 
 GAUSS = "builtin:gaussian,sigma=1,mass=1"
@@ -21,7 +26,7 @@ GAUSS_JSON = (
     '0.94750031438888982, "rhs": {"bulk": 0.96877017122311371, "kin": '
     '1.5415564655867457, "theta": 0.011814247040848816, "total": '
     '2.5221408838507084}, "band": [-2.0392491403204023, 3.0050326273810146], '
-    '"advisory_envelope": [0.24930973929988026, 67.706489804058876], '
+    '"advisory_envelope": [0.24930973929988026, 67.706489804058862], '
     '"flags": ["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 
@@ -110,6 +115,21 @@ def test_parameter_rejections_exit_2(runner, args, fragment):
     assert fragment in result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--density", GAUSS, "--p", "400", "--theta", "0.5"],
+    ["--density", GAUSS, "--p", "1e300"],
+    ["--density", "builtin:gaussian,sigma=1e-200,mass=1"],
+    ["--density", "builtin:gaussian,sigma=1,mass=1e300"],
+    ["--density", "builtin:compact-bump,radius=1e-300,mass=1"],
+])
+def test_arithmetic_failures_exit_2(runner, args):
+    # finite, in-gate parameters whose functionals overflow or divide by zero
+    result = runner.invoke(cli.main, ["certify", *args])
+    assert result.exit_code == 2
+    assert "parameter rejection" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_thread_env_validation(runner):
     for bad in ("0", "up"):
         result = runner.invoke(cli.main, ["info"],
@@ -187,3 +207,25 @@ def test_grid_cli_read_matches_library(runner, tmp_path):
     g = field.read_grid(str(path))
     assert g.spec == spec
     np.testing.assert_array_equal(g.values, f.values)
+
+
+_IMPORT_PROBE = """
+import sys
+from ldacert import cli
+cli.main.main(["certify", "--density", sys.argv[1]], standalone_mode=False)
+sys.stderr.write("scipy.optimize loaded: %s\\n" % ("scipy.optimize" in sys.modules))
+"""
+
+
+def test_certify_leaves_scipy_optimize_unimported(tmp_path):
+    # the eps optimizers are closed forms and one bisection: a certify of a
+    # grid file or a gaussian pays no scipy.optimize import
+    g = field.Density.gaussian(1.0, 1.0)
+    path = tmp_path / "small.grid"
+    field.write_grid(field.density_to_field(g, field.default_grid(g, 24)), str(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
+    for density in (str(path), GAUSS):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, density],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy.optimize loaded: False" in proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -72,6 +73,27 @@ def test_compact_bump_mass_and_support():
     spec = field.GridSpec((3, 3, 3), (1.0, 1.0, 1.0), (-1.0, -1.0, -1.0))
     vals = field.density_to_field(rho, spec).values
     assert vals.min() >= 0.0
+
+
+# sha256 of the compact-bump functionals (repr) and samples (20^3 default
+# grid, raw float64) below, as the seven-integral table computed them
+BUMP_FUNCTIONALS_SHA256 = "9771be4196bf8aedd644b3b9e8deaa5f0003d4f3566cfa0fa45f5438e5abbf5b"
+BUMP_SAMPLES_SHA256 = "959b8df95f274a5bfe12aaacf3ac9c5e838037e93a383fc9fd233715c4eeef5c"
+
+
+def test_compact_bump_integrals_cached_one_by_one():
+    field._bump_radial_integral.cache_clear()
+    reprs, samples = hashlib.sha256(), hashlib.sha256()
+    for radius in (0.5, 1.0, 1.3, 2.5):
+        rho = field.Density.compact_bump(radius, 1.7)
+        samples.update(rho.sample(field.default_grid(rho, 20)).values.tobytes())
+        for theta, p in ((0.5, 4.0), (0.3, 7.0), (0.7, 3.5)):
+            reprs.update(repr(field.functionals(rho, theta, p)).encode())
+    assert reprs.hexdigest() == BUMP_FUNCTIONALS_SHA256
+    assert samples.hexdigest() == BUMP_SAMPLES_SHA256
+    # sampling and the functionals share the norm; each new (theta, p)
+    # adds only its thg quadrature to the five fixed ones
+    assert field._bump_radial_integral.cache_info().misses == 1 + 5 + 3
 
 
 def test_smeared_tetra_mass():

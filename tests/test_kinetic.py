@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -98,3 +99,65 @@ def test_kinetic_band_rejects_q_below_one(gauss_F):
         kinetic.kinetic_band(gauss_F, q=0)
     with pytest.raises(ValueError, match="at least 1"):
         kinetic.t_lower_lt(gauss_F, q=0.5)
+
+
+def _quad_fisher(env):
+    # the two-lobe quad route moments() took for fisher before its closed form
+    lo, hi = env.support
+    mid = lo + env.eps
+    return sum(quad(lambda t: 4.0 * env.c * t**2, a, b, epsabs=1e-13, epsrel=1e-11)[0]
+               for a, b in ((lo, mid), (mid, hi)))
+
+
+@pytest.mark.parametrize("eps", [0.999, 0.5, 0.1, 0.01])
+def test_fisher_closed_form_matches_quad(eps):
+    shifts = [0.0, kinetic.remark_b(eps)] + ([kinetic.solve_b(eps)] if eps <= 0.5 else [])
+    for b in shifts:
+        env = kinetic.eta_shifted(eps, b)
+        assert kinetic.moments(env).fisher == pytest.approx(_quad_fisher(env), rel=1e-12)
+
+
+def _scan_band(F, q):
+    # the 200-point log scans on [1e-4, 1] kinetic_band used before its
+    # closed forms: Nam's lower bound, and both upper variants
+    grid = np.logspace(-4.0, 0.0, 200)
+    nam = max(kinetic.t_lower_nam(F, e, q) for e in grid[grid < 1.0])
+    lower = max(kinetic.t_lower_lt(F, q), kinetic.t_lower_ho(F), nam)
+    upper = min(min(kinetic.t_upper(F, e, q, "general"),
+                    kinetic.t_upper(F, e, q, "3d-small-eps")) for e in grid)
+    return lower, upper
+
+
+def test_kinetic_band_closed_forms_match_scans():
+    rng = np.random.default_rng(20261018)
+    grid = np.logspace(-4.0, 0.0, 200)
+    interior = 0
+    for _ in range(500):
+        l53, kin = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        q = int(rng.integers(1, 3))
+        F = field.FunctionalSet(mass=1.0, l2=1.0, l43=1.0, l53=float(l53),
+                                kin=float(kin), tv=1.0, thg=1.0, theta=0.5, p=4.0)
+        a = kinetic.t_lower_lt(F, q)
+        lower, upper, eps_lower, eps_upper = kinetic.kinetic_band(F, q)
+        # Nam's bound never reaches Lieb-Thirring
+        assert all(kinetic.t_lower_nam(F, e, q) < a for e in grid[grid < 1.0])
+        # the general variant is at least a + 2 sqrt(48 a kin) and at least
+        # a + 192 kin on (0, 1]; the 3d-small-eps minimum is below both
+        floor = max(a + 2.0 * math.sqrt(48.0 * a * F.kin), a + 192.0 * F.kin)
+        assert all(kinetic.t_upper(F, e, q, "general") >= floor * (1.0 - 1e-15)
+                   for e in grid)
+        assert upper <= floor
+        assert upper == kinetic.t_upper(F, eps_upper, q, "3d-small-eps")
+        scan_lower, scan_upper = _scan_band(F, q)
+        assert lower == scan_lower and eps_lower is None
+        assert upper <= scan_upper
+        assert upper == pytest.approx(scan_upper, rel=2e-4)
+        interior += eps_upper < 1.0
+    assert 0 < interior < 500
+
+
+def test_kinetic_band_without_gradient(gauss_F):
+    # kin = 0: the upper bound is its infimum a, approached as eps -> 0
+    F = dataclasses.replace(gauss_F, kin=0.0)
+    a = kinetic.t_lower_lt(F)
+    assert kinetic.kinetic_band(F) == (a, a, None, 0.0)
