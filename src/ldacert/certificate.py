@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bounds, coulomb, field, tiling
+from . import bounds, field, tiling
 
 _VARIANTS = ("quantum", "xc", "classical")
 
@@ -192,14 +192,16 @@ def certify(rho, params, model=None, n_grid=None):
     """Build the certificate of a density: functionals, optimal eps, band.
 
     model defaults to the kinetic-plus-exchange power family for params.q.
-    The density is sampled once, on default_grid(rho, n_grid); that field
-    gives the Hartree term and, for grid-quadrature families, the other
-    functionals (analytic families keep their closed forms).
+    Analytic families give every functional and the Hartree term in closed
+    form and are not sampled.  Any other density is sampled once, on
+    default_grid(rho, n_grid), and that field gives its functionals and
+    its Hartree term.
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
-    sampled = field.density_to_field(rho, field.default_grid(rho, n_grid))
+    sampled = (None if rho.closed_form
+               else field.density_to_field(rho, field.default_grid(rho, n_grid)))
     F = field.functionals(rho, theta=params.theta, p=params.p, sampled=sampled)
     zero = F.mass == 0.0 and F.kin == 0.0 and F.thg == 0.0
     if zero:
@@ -211,7 +213,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = F.with_hartree(coulomb.hartree(sampled))
+    F = F.with_hartree(rho.hartree(sampled))
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:

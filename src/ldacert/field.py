@@ -13,8 +13,8 @@ Conventions used throughout the package:
   thg = integral |grad(rho^theta)|^p.
 
 The analytic families (gaussian, compact-bump) carry closed-form or
-radial-quadrature functionals so grid error never enters when an exact
-reference is wanted.
+radial-quadrature functionals and Coulomb terms, so grid error never
+enters when an exact reference is wanted and certify samples nothing.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class FunctionalSet:
     kin  = int |grad sqrt(rho)|^2
     tv   = int |grad rho|
     thg  = int |grad rho^theta|^p
-    hartree is filled in by the coulomb module when needed.
+    hartree is filled in by certify, from the density's Coulomb term.
     """
 
     mass: float
@@ -192,6 +192,27 @@ def _bump_radial_integral(kind, a, b):
         )
     val, _ = _sciint.quad(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
     return 4.0 * math.pi * val
+
+
+@lru_cache(maxsize=1)
+def _bump_unit_hartree():
+    """D_1 = D(rho) R/m^2 of the bump, by the field-energy form.
+
+    D = (1/2) int_0^inf Q(r)^2/r^2 dr with Q the enclosed mass; Q = m
+    beyond the radius, so D_1 = 1/2 + (1/2) int_0^1 (Q(r)/Q(1))^2/r^2 dr
+    for the unit shape.
+    """
+    from scipy import integrate as _sciint
+
+    def enclosed(r):
+        val, _ = _sciint.quad(lambda u: math.exp(-1.0 / (1.0 - u * u)) * u * u,
+                              0.0, r, epsabs=1e-15, epsrel=1e-13, limit=200)
+        return val
+
+    q1 = enclosed(1.0)
+    inner, _ = _sciint.quad(lambda r: (enclosed(r) / q1) ** 2 / (r * r),
+                            0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return 0.5 + 0.5 * inner
 
 
 def _support_box(values, pad=0):
@@ -261,12 +282,16 @@ class Density:
     Density.gaussian / compact_bump / smeared_tetra / grid.
 
     Each family validates its parameters and provides default_grid(n),
-    sample(spec), scaled(factor) and functionals(theta, p, sampled);
-    only smeared_tetra reads ``sampled`` (its samples, if already taken).
+    sample(spec), scaled(factor), functionals(theta, p, sampled) and the
+    Coulomb terms hartree(sampled) and kernel_moment(kvecs, n).  Only the
+    grid route reads ``sampled`` (the samples, if already taken).
     """
 
     #: the grid a density is tied to; only sampled grid densities have one
     own_grid = None
+    #: whether the functionals and Coulomb terms need no samples, so that
+    #: certify takes none
+    closed_form = False
 
     def _require_finite(self):
         # every parameter of an analytic family is a number
@@ -274,6 +299,25 @@ class Density:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+
+    def hartree(self, sampled=None):
+        """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy.
+
+        The grid route: coulomb.hartree of sampled, or of the density on its
+        default grid.  The analytic families override it.
+        """
+        from . import coulomb  # lazy: coulomb needs this module's grid types
+
+        return coulomb.hartree(self if sampled is None else sampled)
+
+    def kernel_moment(self, kvecs, n=None):
+        """coulomb.kernel_moment's I(k) for each row k, on default_grid(n).
+
+        The grid route; the gaussian overrides it.
+        """
+        from . import coulomb
+
+        return coulomb.kernel_moment(self, kvecs, self.default_grid(n))
 
 
 def _cube_grid(half, n):
@@ -294,6 +338,8 @@ class Gaussian(Density):
 
     sigma: float
     mass: float = 1.0
+
+    closed_form = True
 
     def __post_init__(self):
         self._require_finite()
@@ -341,6 +387,27 @@ class Gaussian(Density):
             p=p,
         )
 
+    def hartree(self, sampled=None):
+        return gaussian_hartree(self.sigma, self.mass)
+
+    def kernel_moment(self, kvecs, n=None):
+        """I(k) = D F(|k| sigma) / (2 pi |k| sigma), F Dawson's function.
+
+        The untruncated kernel: truncating it at R changes I by about
+        exp(-R^2/(4 sigma^2)).  2 pi I(0) = D; n is unused.
+        """
+        from scipy.special import dawsn
+
+        kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
+        if kvecs.shape[1] != 3:
+            raise ValueError("kvecs must be (n, 3)")
+        x = self.sigma * np.linalg.norm(kvecs, axis=1)
+        ratio = np.ones_like(x)
+        nz = x > 0
+        ratio[nz] = dawsn(x[nz]) / x[nz]
+        out = gaussian_hartree(self.sigma, self.mass) / (2.0 * math.pi) * ratio
+        return out if out.size > 1 else float(out[0])
+
 
 @dataclass(frozen=True)
 class CompactBump(Density):
@@ -348,6 +415,8 @@ class CompactBump(Density):
 
     radius: float
     mass: float = 1.0
+
+    closed_form = True
 
     def __post_init__(self):
         self._require_finite()
@@ -390,6 +459,9 @@ class CompactBump(Density):
             theta=theta,
             p=p,
         )
+
+    def hartree(self, sampled=None):
+        return self.mass**2 / self.radius * _bump_unit_hartree()
 
 
 @dataclass(frozen=True)

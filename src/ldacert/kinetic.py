@@ -234,14 +234,13 @@ def kinetic_band(F, q=1):
         clamped at eps = 1: 16a/15 + 19 kin < a + 192 kin, as kin >= a/285.
       With kin = 0 the upper value is the infimum a, approached as eps -> 0.
 
-    Returns (lower, upper, eps_lower, eps_upper); eps_lower is None, as
-    neither lower bound has an eps.
+    Returns (lower, upper, eps_upper); neither lower bound has an eps.
     """
     if F.mass == 0.0 and F.kin == 0.0:
-        return 0.0, 0.0, None, None
+        return 0.0, 0.0, None
     a = t_lower_lt(F, q)
     lower = max(a, t_lower_ho(F))
     if F.kin == 0.0:
-        return lower, a, None, 0.0
+        return lower, a, 0.0
     eps = 1.0 if 285.0 * F.kin >= a else (285.0 * F.kin / a) ** 0.25
-    return lower, t_upper(F, eps, q, "3d-small-eps"), None, eps
+    return lower, t_upper(F, eps, q, "3d-small-eps"), eps

@@ -635,12 +635,16 @@ def _exp_divided_difference(z):
     w = z - mean[:, None]
     # column j of diag(w) + superdiag(1) has 1-norm |w_j| + (j > 0)
     s = math.ceil(math.log2(np.max(np.abs(w) + (np.arange(4) > 0))))
-    a = np.zeros((len(z), 4, 4), dtype=complex)
-    a[:, np.arange(4), np.arange(4)] = w / 2.0**s
-    a[:, np.arange(3), np.arange(1, 4)] = 2.0**-s
-    e = np.eye(4) + a / 18.0
+    diag, sup = w / 2.0**s, 2.0**-s
+    e = np.zeros((len(z), 4, 4), dtype=complex)
+    e[:, np.arange(4), np.arange(4)] = 1.0 + diag / 18.0
+    e[:, np.arange(3), np.arange(1, 4)] = sup / 18.0
     for j in range(17, 0, -1):
-        e = np.eye(4) + (a @ e) / j
+        # a @ e for the bidiagonal a = diag(diag) + superdiag(sup), in the
+        # order matmul sums: the diagonal term, then the one from below
+        ae = diag[:, :, None] * e
+        ae[:, :3] += sup * e[:, 1:]
+        e = np.eye(4) + ae / j
     for _ in range(s):
         e = e @ e
     return np.exp(mean) * e[:, 0, 3]
@@ -737,15 +741,14 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
 
     Evaluates (2 pi)^7 sum_{0 < |m|_inf <= k_max} |hat(eta_1)|^2 |S|^2 I(k/ell)
     with k = 2 pi m, the mollifier hat taken at eps |k| / 10 (the smearing
-    ball has radius delta/10) and I the truncated-kernel spectral moment of
-    the density.  With detail=True also returns shell sums and a geometric
-    tail estimate.
+    ball has radius delta/10) and I the spectral moment of the density,
+    rho.kernel_moment: the Dawson form for a gaussian, else the
+    truncated-kernel grid route on default_grid(rho, n_grid).  With
+    detail=True also returns shell sums and a geometric tail estimate.
     """
     if int(k_max) != k_max or k_max < 3:
         raise ValueError(f"k_max must be an integer >= 3, got {k_max}")
     k_max = int(k_max)
-    from . import coulomb, field
-
     rng = np.arange(-k_max, k_max + 1)
     m = np.array([mm for mm in itertools.product(rng, repeat=3) if any(mm)])
     kv = 2.0 * math.pi * m.astype(float)
@@ -755,7 +758,7 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
     hats = mollifier_hat(eps * knorm / 10.0)
 
     s_vals = reduced_sum(eps, kv)
-    moments = coulomb.kernel_moment(rho, kv / cfg.ell, field.default_grid(rho, n=n_grid))
+    moments = rho.kernel_moment(kv / cfg.ell, n_grid)
     terms = (2.0 * math.pi) ** 7 * hats**2 * np.abs(s_vals) ** 2 * moments
     total = float(np.sum(terms))
     if not detail:

@@ -263,7 +263,7 @@ def test_criterion_11_sandwich_consistency():
         upper, _ = bounds.energy_upper_min(F)
         if not lower <= upper:
             violations.append(f"density {i}: energy {lower} > {upper}")
-        lo, hi, _, _ = kinetic.kinetic_band(F)
+        lo, hi, _ = kinetic.kinetic_band(F)
         if not lo <= hi:
             violations.append(f"density {i}: kinetic band empty")
         for eps in (0.1, 0.3, 0.5):

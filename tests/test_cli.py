@@ -22,7 +22,7 @@ GAUSS_JSON = (
     '0.02244839026564582, "l43": 0.25912061210350168, "l53": '
     '0.07396853328737997, "kin": 0.75, "tv": 1.5957691216057308, "thg": '
     '0.0052613414685107381, "theta": 0.5, "p": 4, "hartree": '
-    '0.28214473556530983}, "lda": 0.48289174353030628, "epsilon_star": '
+    '0.28209479177387814}, "lda": 0.48289174353030628, "epsilon_star": '
     '0.94750031438888982, "rhs": {"bulk": 0.96877017122311371, "kin": '
     '1.5415564655867457, "theta": 0.011814247040848816, "total": '
     '2.5221408838507084}, "band": [-2.0392491403204023, 3.0050326273810146], '
@@ -196,6 +196,13 @@ def test_verify_fast_suites(runner, suite):
              if ln and not ln.startswith("#")]
     assert lines and all(ln.startswith("PASS") for ln in lines)
     assert result.stdout == "".join(row + "\n" for row in VERIFY_ROWS[suite])
+
+
+def test_verify_hartree_check_takes_the_grid_route():
+    # certify takes the gaussian D in closed form; verify must still test
+    # the grid against it, not the closed form against itself
+    residual = dict(cli._suite_coulomb())["coulomb.hartree_gaussian"]
+    assert 0.0 < residual <= cli.TOLERANCES["coulomb.hartree_gaussian"]
 
 
 def test_grid_cli_read_matches_library(runner, tmp_path):

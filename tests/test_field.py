@@ -109,6 +109,62 @@ def test_gaussian_hartree_value():
         9.0 / (2.0 * math.sqrt(math.pi) * 2.0), rel=1e-14)
 
 
+def test_gaussian_coulomb_terms_are_closed_forms():
+    for sigma, mass in ((1.0, 1.0), (1.3, 0.7)):
+        rho = field.Density.gaussian(sigma, mass)
+        D = field.gaussian_hartree(sigma, mass)
+        assert rho.hartree() == pytest.approx(D, rel=1e-15)
+        # the Dawson form at k = 0 is D / (2 pi)
+        assert 2.0 * math.pi * rho.kernel_moment(np.zeros(3)) == pytest.approx(D, rel=1e-15)
+
+
+def test_gaussian_dawson_moments_match_the_grid_route():
+    from ldacert import coulomb
+
+    rho = field.Density.gaussian(1.0, 1.0)
+    spec = field.default_grid(rho, 32)
+    for direction in ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 2.0, 0.0)):
+        unit = np.asarray(direction) / np.linalg.norm(direction)
+        kvecs = np.array([0.0, 0.5, 1.0, 2.0, 3.5, 5.2])[:, None] * unit
+        # the grid route aliases at a few 1e-5 on 32^3 (ROADMAP item 4)
+        np.testing.assert_allclose(coulomb.kernel_moment(rho, kvecs, spec),
+                                   rho.kernel_moment(kvecs), rtol=1e-4, atol=0.0)
+    with pytest.raises(ValueError, match="kvecs"):
+        rho.kernel_moment(np.zeros((2, 2)))
+
+
+def _bump_hartree_reference(radius, mass):
+    """D = (1/2) int rho phi 4 pi r^2 dr with the shell-theorem potential
+    phi(r) = Q(r)/r + int_r^R 4 pi s rho(s) ds, by nested quad."""
+    from scipy.integrate import quad
+
+    tol = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+
+    def shape(r):
+        u2 = (r / radius) ** 2
+        return math.exp(-1.0 / (1.0 - u2)) if u2 < 1.0 else 0.0
+
+    c = mass / quad(lambda r: 4.0 * math.pi * r * r * shape(r), 0.0, radius, **tol)[0]
+
+    def phi(r):
+        inner = quad(lambda s: 4.0 * math.pi * s * s * shape(s), 0.0, r, **tol)[0]
+        outer = quad(lambda s: 4.0 * math.pi * s * shape(s), r, radius, **tol)[0]
+        return c * (inner / r + outer)
+
+    return 0.5 * quad(lambda r: 4.0 * math.pi * r * r * c * shape(r) * phi(r),
+                      0.0, radius, **tol)[0]
+
+
+def test_compact_bump_hartree_matches_radial_reference():
+    unit = field.Density.compact_bump(1.0, 1.0).hartree()
+    assert unit == pytest.approx(_bump_hartree_reference(1.0, 1.0), rel=1e-13)
+    for radius, mass in ((1.3, 1.0), (0.8, 2.5), (2.2, 0.7)):
+        got = field.Density.compact_bump(radius, mass).hartree()
+        assert got == pytest.approx(mass**2 / radius * unit, rel=1e-15)
+        assert got == pytest.approx(_bump_hartree_reference(radius, mass), rel=1e-13)
+    assert field.Density.compact_bump(1.0, 0.0).hartree() == 0.0
+
+
 def test_grid_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     spec = field.GridSpec((4, 5, 6), (0.5, 0.25, 0.125), (-1.0, 0.0, 2.0))

@@ -82,7 +82,7 @@ def test_lower_bounds_order(gauss_F):
     ho = kinetic.t_lower_ho(gauss_F)
     nam = kinetic.t_lower_nam(gauss_F, 0.3)
     assert ho == pytest.approx(gauss_F.kin)
-    lo, hi, eps_lo, eps_hi = kinetic.kinetic_band(gauss_F)
+    lo, hi, _ = kinetic.kinetic_band(gauss_F)
     assert lo <= hi
     assert max(lt, ho, nam) <= hi
     assert lo >= max(lt, ho) - 1e-12
@@ -91,7 +91,7 @@ def test_lower_bounds_order(gauss_F):
 def test_kinetic_band_zero_density():
     F = field.FunctionalSet(mass=0, l2=0, l43=0, l53=0, kin=0, tv=0, thg=0,
                             theta=0.5, p=4.0)
-    assert kinetic.kinetic_band(F)[:2] == (0.0, 0.0)
+    assert kinetic.kinetic_band(F) == (0.0, 0.0, None)
 
 
 def test_kinetic_band_rejects_q_below_one(gauss_F):
@@ -138,7 +138,7 @@ def test_kinetic_band_closed_forms_match_scans():
         F = field.FunctionalSet(mass=1.0, l2=1.0, l43=1.0, l53=float(l53),
                                 kin=float(kin), tv=1.0, thg=1.0, theta=0.5, p=4.0)
         a = kinetic.t_lower_lt(F, q)
-        lower, upper, eps_lower, eps_upper = kinetic.kinetic_band(F, q)
+        lower, upper, eps_upper = kinetic.kinetic_band(F, q)
         # Nam's bound never reaches Lieb-Thirring
         assert all(kinetic.t_lower_nam(F, e, q) < a for e in grid[grid < 1.0])
         # the general variant is at least a + 2 sqrt(48 a kin) and at least
@@ -149,7 +149,7 @@ def test_kinetic_band_closed_forms_match_scans():
         assert upper <= floor
         assert upper == kinetic.t_upper(F, eps_upper, q, "3d-small-eps")
         scan_lower, scan_upper = _scan_band(F, q)
-        assert lower == scan_lower and eps_lower is None
+        assert lower == scan_lower
         assert upper <= scan_upper
         assert upper == pytest.approx(scan_upper, rel=2e-4)
         interior += eps_upper < 1.0
@@ -160,4 +160,4 @@ def test_kinetic_band_without_gradient(gauss_F):
     # kin = 0: the upper bound is its infimum a, approached as eps -> 0
     F = dataclasses.replace(gauss_F, kin=0.0)
     a = kinetic.t_lower_lt(F)
-    assert kinetic.kinetic_band(F) == (a, a, None, 0.0)
+    assert kinetic.kinetic_band(F) == (a, a, 0.0)

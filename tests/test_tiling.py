@@ -152,6 +152,36 @@ def test_tetra_fourier_matches_hermite_genocchi(k_max, eps):
     assert err.max() <= 1e-15, (rows[np.argmax(err)], err.max())
 
 
+def _exp_divided_difference_matmul(z):
+    # the reference: the Taylor sum as (n, 4, 4) matmuls by the bidiagonal a
+    mean = z.mean(axis=1)
+    w = z - mean[:, None]
+    s = math.ceil(math.log2(np.max(np.abs(w) + (np.arange(4) > 0))))
+    a = np.zeros((len(z), 4, 4), dtype=complex)
+    a[:, np.arange(4), np.arange(4)] = w / 2.0**s
+    a[:, np.arange(3), np.arange(1, 4)] = 2.0**-s
+    e = np.eye(4) + a / 18.0
+    for j in range(17, 0, -1):
+        e = np.eye(4) + (a @ e) / j
+    for _ in range(s):
+        e = e @ e
+    return np.exp(mean) * e[:, 0, 3]
+
+
+@pytest.mark.parametrize("k_max,eps", [(3, 0.15), (4, 0.025)])
+def test_exp_divided_difference_equals_matmul_taylor_sum(k_max, eps):
+    """The elementwise Taylor sum adds the same two products in the same
+    order as the matmul, so every row of a lattice sum is bit-identical."""
+    m = np.array([mm for mm in itertools.product(range(-k_max, k_max + 1), repeat=3)
+                  if any(mm)])
+    tiles = np.array([t.vertices for t in tiling.unit_cube_tetrahedra()])
+    c = tiles.mean(axis=1, keepdims=True)
+    verts = c + (1.0 - eps) * (tiles - c)
+    z = -1j * np.einsum("nd,tvd->tnv", 2.0 * math.pi * m, verts).reshape(-1, 4)
+    np.testing.assert_array_equal(tiling._exp_divided_difference(z),
+                                  _exp_divided_difference_matmul(z))
+
+
 def test_exp_divided_difference_across_phase_gaps():
     """Rows with one pair of phases at gaps from 1e-9 to 0.5, just either
     side of 0.05 included, against the simplex quadrature."""
