@@ -61,7 +61,8 @@ def _guarded(fn):
         except (field.SupportError, kinetic.SolverError) as exc:
             click.echo(f"accuracy failure: {exc}", err=True)
             sys.exit(3)
-        except (FileNotFoundError, ValueError, ArithmeticError) as exc:
+        except (OSError, ValueError, ArithmeticError) as exc:
+            # OSError: a file that is missing, a directory or not readable;
             # ArithmeticError: finite parameters whose functionals overflow
             # or divide by zero (for instance a gaussian with sigma = 1e-200)
             click.echo(f"parameter rejection: {exc}", err=True)
@@ -204,7 +205,7 @@ def scaling(variant, p, theta, sweep):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_guarded
 def tile(ell, delta, out):
-    """Write the regularized cutoff of tile 1 as an LDA-GRID file."""
+    """Write the regularized cutoff of tile 1 as an LDA-GRID v2 file."""
     _echo_config("tile", ell=ell, delta=delta, out=out)
     cfg = tiling.TilingConfig(ell, delta)
     n = 64

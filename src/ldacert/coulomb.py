@@ -17,6 +17,9 @@ transform.  The same truncated kernel backs the reciprocal-space moment
 integrals and the translation-averaged localization identity.  The
 annulus convolution is an independent 1D radial reduction used by the
 tiling error analysis.
+
+scipy.fft is imported on the first transform, not with the module, so a
+command that runs none (``info``, a gaussian ``certify``) never loads it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import math
 import os
 
 import numpy as np
-import scipy.fft as _fft
 
 from .field import Density, ScalarField, SupportError, _support_box, density_to_field
 
@@ -152,6 +154,8 @@ def _potential(values, spec):
     whole-grid transforms.  The 1/(P1 P2 P3) scale is applied once at the
     end, rounded from long double as pocketfft rounds it.
     """
+    import scipy.fft as _fft  # lazy: commands that run no transform skip the import
+
     engine = _engine(spec)
     workers = _fft_workers()
     p1, p2, p3 = engine.shape
@@ -205,6 +209,8 @@ def kernel_moment(rho, kvecs, spec=None):
     transform int rho e^{-ip.x} dx at the engine frequencies (up to the
     phase of the grid origin, which cancels in |.|^2).
     """
+    import scipy.fft as _fft
+
     kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
     if kvecs.shape[1] != 3:
         raise ValueError("kvecs must be (n, 3)")

@@ -27,7 +27,7 @@ import numpy as np
 
 
 class GridFormatError(ValueError):
-    """Raised when a grid file does not conform to the LDA-GRID v1 layout."""
+    """Raised when a grid file conforms to neither LDA-GRID layout, v1 or v2."""
 
 
 class SupportError(ValueError):
@@ -622,42 +622,69 @@ def sobolev_ratio(u, p, ell):
 
 
 # ---------------------------------------------------------------------------
-# LDA-GRID v1 file format
-
-_MAGIC = ("LDA-GRID", "v1")
-
-
-def write_grid(field, path):
-    """Write the LDA-GRID v1 text format (%.17g, x-fastest, round-trip exact)."""
-    spec = field.spec
-    header = "LDA-GRID v1 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g" % (
-        *spec.dims, *spec.spacing, *spec.origin)
-    flat = field.values.ravel(order="F").tolist()
-    full = len(flat) - len(flat) % 8
-    row = " ".join(["%.17g"] * 8) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, full, 8):
-            fh.write(row % tuple(flat[start:start + 8]))
-        if full < len(flat):
-            fh.write(" ".join("%.17g" % v for v in flat[full:]) + "\n")
+# LDA-GRID file format: v2 written, v1 and v2 read
+#
+# Both versions open with one header line of ASCII tokens,
+#   LDA-GRID <version> nx ny nz hx hy hz ox oy oz
+# (the floats in %.17g), followed by the nx*ny*nz values, x fastest.  v1
+# gives the values as whitespace-separated %.17g text; v2 gives them as
+# exactly 8*nx*ny*nz bytes of little-endian IEEE float64 right after the
+# header's newline.  Both round-trip every double exactly.
 
 
-def read_grid(path):
-    with open(path) as fh:
-        content = fh.read()
-    tokens = content.split()
-    if len(tokens) < 11 or tokens[0] != _MAGIC[0] or tokens[1] != _MAGIC[1]:
-        raise GridFormatError("missing LDA-GRID v1 header")
+def _header_spec(tokens):
+    # the GridSpec of the nine header tokens after the magic
     try:
-        nx, ny, nz = (int(t) for t in tokens[2:5])
-        hx, hy, hz, ox, oy, oz = (float(t) for t in tokens[5:11])
+        nx, ny, nz = (int(t) for t in tokens[:3])
+        hx, hy, hz, ox, oy, oz = (float(t) for t in tokens[3:9])
     except ValueError as exc:
         raise GridFormatError(f"bad header field: {exc}") from None
     try:
-        spec = GridSpec((nx, ny, nz), (hx, hy, hz), (ox, oy, oz))
+        return GridSpec((nx, ny, nz), (hx, hy, hz), (ox, oy, oz))
     except ValueError as exc:
         raise GridFormatError(f"bad header: {exc}") from None
+
+
+def _checked_field(spec, flat):
+    if not np.all(np.isfinite(flat)):
+        raise GridFormatError("non-finite value in grid data")
+    return ScalarField(spec, flat.reshape(spec.dims, order="F"))
+
+
+def write_grid(field, path):
+    """Write the LDA-GRID v2 format (header line, raw little-endian float64)."""
+    spec = field.spec
+    header = "LDA-GRID v2 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g\n" % (
+        *spec.dims, *spec.spacing, *spec.origin)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(field.values.ravel(order="F").astype("<f8", copy=False))
+
+
+def read_grid(path):
+    """Read an LDA-GRID v2 or v1 file; the magic token tells them apart."""
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("latin-1").split()
+        if header[:2] != ["LDA-GRID", "v2"]:
+            return _read_grid_v1(path)
+        payload = fh.read()
+    if len(header) != 11:
+        raise GridFormatError(f"v2 header has {len(header)} tokens, expected 11")
+    spec = _header_spec(header[2:])
+    if len(payload) != 8 * spec.n_total:
+        raise GridFormatError(
+            f"expected {8 * spec.n_total} payload bytes, found {len(payload)}")
+    # astype copies the read-only buffer into a writeable native array
+    return _checked_field(spec, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+
+
+def _read_grid_v1(path):
+    with open(path) as fh:
+        content = fh.read()
+    tokens = content.split()
+    if len(tokens) < 11 or tokens[0] != "LDA-GRID" or tokens[1] != "v1":
+        raise GridFormatError("missing LDA-GRID v1 or v2 header")
+    spec = _header_spec(tokens[2:11])
     data = tokens[11:]
     if len(data) != spec.n_total:
         raise GridFormatError(
@@ -666,6 +693,4 @@ def read_grid(path):
         flat = np.array(data, dtype=np.float64)
     except ValueError as exc:
         raise GridFormatError(f"bad value token: {exc}") from None
-    if not np.all(np.isfinite(flat)):
-        raise GridFormatError("non-finite value in grid data")
-    return ScalarField(spec, flat.reshape(spec.dims, order="F"))
+    return _checked_field(spec, flat)

@@ -130,6 +130,43 @@ def test_arithmetic_failures_exit_2(runner, args):
     assert "Traceback" not in result.stderr
 
 
+def test_unreadable_density_file_exits_2(runner, tmp_path):
+    # a directory raises IsADirectoryError, an OSError like a missing file
+    result = runner.invoke(cli.main, ["certify", "--density", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "parameter rejection" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_malformed_v2_grid_exits_2(runner, tmp_path):
+    path = tmp_path / "short.grid"
+    field.write_grid(field.ScalarField(field.GridSpec((4, 4, 4), (0.5,) * 3),
+                                       np.ones((4, 4, 4))), str(path))
+    path.write_bytes(path.read_bytes()[:-8])
+    result = runner.invoke(cli.main, ["certify", "--density", str(path)])
+    assert result.exit_code == 2
+    assert "payload bytes" in result.stderr
+
+
+def test_certify_output_is_the_same_for_v1_and_v2_files(runner, tmp_path):
+    v2 = tmp_path / "tile.grid"
+    assert runner.invoke(cli.main, ["tile", "--ell", "4", "--delta", "1",
+                                    "--out", str(v2)]).exit_code == 0
+    assert v2.read_bytes().startswith(b"LDA-GRID v2 ")
+    f = field.read_grid(str(v2))
+    flat = f.values.ravel(order="F")
+    v1 = tmp_path / "tile-v1.grid"
+    v1.write_text(
+        "LDA-GRID v1 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g\n"
+        % (*f.spec.dims, *f.spec.spacing, *f.spec.origin)
+        + "".join(" ".join("%.17g" % v for v in flat[i:i + 8]) + "\n"
+                  for i in range(0, flat.size, 8)))
+    out = [runner.invoke(cli.main, ["certify", "--density", str(path)])
+           for path in (v1, v2)]
+    assert [r.exit_code for r in out] == [0, 0]
+    assert out[0].stdout == out[1].stdout
+
+
 def test_thread_env_validation(runner):
     for bad in ("0", "up"):
         result = runner.invoke(cli.main, ["info"],
@@ -219,20 +256,25 @@ def test_grid_cli_read_matches_library(runner, tmp_path):
 _IMPORT_PROBE = """
 import sys
 from ldacert import cli
-cli.main.main(["certify", "--density", sys.argv[1]], standalone_mode=False)
-sys.stderr.write("scipy.optimize loaded: %s\\n" % ("scipy.optimize" in sys.modules))
+cli.main.main(sys.argv[1:], standalone_mode=False)
+for name in ("scipy.optimize", "scipy.fft"):
+    sys.stderr.write("%s loaded: %s\\n" % (name, name in sys.modules))
 """
 
 
 def test_certify_leaves_scipy_optimize_unimported(tmp_path):
     # the eps optimizers are closed forms and one bisection: a certify of a
-    # grid file or a gaussian pays no scipy.optimize import
+    # grid file or a gaussian pays no scipy.optimize import; scipy.fft loads
+    # only with the first transform, which neither info nor a gaussian runs
     g = field.Density.gaussian(1.0, 1.0)
     path = tmp_path / "small.grid"
     field.write_grid(field.density_to_field(g, field.default_grid(g, 24)), str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
-    for density in (str(path), GAUSS):
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, density],
+    for args, fft in ((["certify", "--density", str(path)], True),
+                      (["certify", "--density", GAUSS], False),
+                      (["info"], False)):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "scipy.optimize loaded: False" in proc.stderr
+        assert f"scipy.fft loaded: {fft}" in proc.stderr

@@ -180,20 +180,70 @@ def test_grid_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("dims", [(4, 4, 4), (3, 5, 7)], ids=["full-rows", "short-last-row"])
-def test_write_grid_matches_per_value_format(tmp_path, dims):
+def _wide_exponent_field(dims):
     rng = np.random.default_rng(11)
     values = rng.uniform(size=dims) * 10.0 ** rng.integers(-300, 300, size=dims)
     values.flat[0] = 0.0
     values.flat[-1] = 5e-324
-    spec = field.GridSpec(dims, (0.1, 0.2, 0.3), (-1.5, 0.25, 3.0))
+    return field.ScalarField(field.GridSpec(dims, (0.1, 0.2, 0.3), (-1.5, 0.25, 3.0)), values)
+
+
+def _header(version, spec):
+    return "LDA-GRID %s %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g\n" % (
+        version, *spec.dims, *spec.spacing, *spec.origin)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (3, 5, 7)], ids=["full-rows", "short-last-row"])
+def test_read_grid_reads_per_value_v1_text(tmp_path, dims):
+    # v1 files are no longer written but are still read, bit for bit
+    f = _wide_exponent_field(dims)
+    flat = f.values.ravel(order="F")
+    rows = [" ".join("%.17g" % v for v in flat[i:i + 8]) + "\n" for i in range(0, flat.size, 8)]
     path = tmp_path / "a.grid"
-    field.write_grid(field.ScalarField(spec, values), path)
-    flat = values.ravel(order="F")
-    lines = ["LDA-GRID v1 %d %d %d %.17g %.17g %.17g %.17g %.17g %.17g"
-             % (*dims, *spec.spacing, *spec.origin)]
-    lines += [" ".join("%.17g" % v for v in flat[i:i + 8]) for i in range(0, flat.size, 8)]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    path.write_text(_header("v1", f.spec) + "".join(rows))
+    g = field.read_grid(path)
+    assert g.spec == f.spec
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (3, 5, 7)], ids=["full-rows", "short-last-row"])
+def test_write_grid_v2_layout(tmp_path, dims):
+    f = _wide_exponent_field(dims)
+    path = tmp_path / "a.grid"
+    field.write_grid(f, path)
+    assert path.read_bytes() == (_header("v2", f.spec).encode()
+                                 + f.values.ravel("F").astype("<f8").tobytes())
+    g = field.read_grid(path)
+    assert g.spec == f.spec
+    assert g.values.tobytes() == f.values.tobytes()
+    assert g.values.dtype == np.float64 and g.values.flags.writeable
+
+
+def _v2_bytes(spec, payload, header=None):
+    return (header or _header("v2", spec)).encode() + np.asarray(payload, "<f8").tobytes()
+
+
+_SPEC = field.GridSpec((2, 3, 4), (0.5, 0.5, 0.5))
+_GOOD = np.linspace(0.0, 1.0, 24)
+
+
+@pytest.mark.parametrize("data", [
+    _v2_bytes(_SPEC, _GOOD[:-1]),
+    _v2_bytes(_SPEC, _GOOD)[:-3],
+    _v2_bytes(_SPEC, _GOOD) + b"\n",
+    _v2_bytes(_SPEC, np.r_[_GOOD, 0.0]),
+    _v2_bytes(_SPEC, np.r_[_GOOD[:-1], np.nan]),
+    _v2_bytes(_SPEC, np.r_[np.inf, _GOOD[1:]]),
+    _v2_bytes(_SPEC, _GOOD, "LDA-GRID v2 2 3 4 0.5 0.5 0.5 0 0\n"),
+], ids=["short", "short-bytes", "long-bytes", "long", "nan", "inf", "short-header"])
+def test_read_grid_rejects_bad_v2(tmp_path, data):
+    # non-finite header fields are covered by test_read_grid_rejects_bad_header
+    path = tmp_path / "bad.grid"
+    path.write_bytes(_v2_bytes(_SPEC, _GOOD))
+    assert field.read_grid(path).values.ravel("F").tolist() == _GOOD.tolist()
+    path.write_bytes(data)
+    with pytest.raises(field.GridFormatError):
+        field.read_grid(path)
 
 
 def test_read_grid_rejects_bad_header(tmp_path):
@@ -201,10 +251,11 @@ def test_read_grid_rejects_bad_header(tmp_path):
     p.write_text("NOT-A-GRID v9 1 1 1\n0.0\n")
     with pytest.raises(field.GridFormatError):
         field.read_grid(p)
-    for header in ("2 2 2 inf 1 1 0 0 0", "2 2 2 1 1 1 0 -inf 0"):
-        p.write_text(f"LDA-GRID v1 {header}\n" + "0 " * 8 + "\n")
-        with pytest.raises(field.GridFormatError, match="finite"):
-            field.read_grid(p)
+    for version, values in (("v1", b"0 " * 8 + b"\n"), ("v2", bytes(64))):
+        for header in ("2 2 2 inf 1 1 0 0 0", "2 2 2 1 1 1 0 -inf 0"):
+            p.write_bytes(f"LDA-GRID {version} {header}\n".encode() + values)
+            with pytest.raises(field.GridFormatError, match="finite"):
+                field.read_grid(p)
 
 
 def test_grid_density_spec_mismatch():
