@@ -1,22 +1,24 @@
 """Electrostatic self-energy and related convolution integrals.
 
-The direct (Hartree) term is computed spectrally on a grid zero-padded to
-twice its dims per axis, with a spherically truncated Coulomb kernel of
-radius R = the original box diagonal (Vico, Greengard & Ferrando, J.
-Comput. Phys. 323, 2016).  That scheme is alias-free only when the padded
-length P satisfies P >= L + R, and R = sqrt(3) L breaks it for P = 2L, so
-periodic images still enter at a small relative level; see ROADMAP.md,
-item 4, "Alias-free grid Coulomb, one kernel per grid shape".  The
-convolution runs as per-axis real and complex FFTs that skip the
-all-zero padding lines and crop before each inverse pass, with the
-kernel built once per grid and cached.  Lines that miss the support box
-of the field, the bounding box of its nonzero nodes, are skipped as
-well, so a density that vanishes on most of its grid (a smeared tile)
-pays mostly for its box; the values are those of the whole-grid
-transform.  The same truncated kernel backs the reciprocal-space moment
-integrals and the translation-averaged localization identity.  The
-annulus convolution is an independent 1D radial reduction used by the
-tiling error analysis.
+The direct (Hartree) term is computed spectrally with a spherically
+truncated Coulomb kernel (Vico, Greengard & Ferrando, J. Comput. Phys. 323,
+2016), sized from the support box of the field: the bounding box of its
+nonzero nodes, widened by one node and clipped to the grid.  The kernel is
+truncated at R = the box diagonal, and each box axis of b nodes is
+zero-padded to the smallest fast length P with P h >= (b - 1) h + R, capped
+at twice the grid dims.  Below the cap the scheme is alias-free (a smeared
+tile on its default grid).  A box that fills the grid (a gaussian sample, a
+dense grid file) keeps the whole-grid geometry, P = 2n with R the grid
+diagonal.  A box that fills most of the grid (a compact bump on its
+default grid) is capped at 2n too, with R its own diagonal.  In both
+cases periodic images still enter at a small relative level; see
+ROADMAP.md, item 4.  The convolution runs as per-axis real and complex
+FFTs of the box values that skip the all-zero padding lines and crop
+before each inverse pass, with the kernel built once per (box, grid)
+geometry and cached.  The same truncated kernel backs the
+reciprocal-space moment integrals and the translation-averaged
+localization identity.  The annulus convolution is an independent 1D
+radial reduction used by the tiling error analysis.
 
 scipy.fft is imported on the first transform, not with the module, so a
 command that runs none (``info``, a gaussian ``certify``) never loads it.
@@ -56,9 +58,17 @@ def _fft_workers():
 
 
 def _kernel_values(psq, radius):
-    """(1 - cos(R|p|))/|p|^2 with the analytic value R^2/2 at p = 0."""
+    """(1 - cos(R|p|))/|p|^2 with the analytic value R^2/2 at p = 0.
+
+    Evaluated in place in the output array, so a padded reciprocal grid of
+    20M points (160 MB per array) needs no further temporaries.
+    """
+    out = np.sqrt(psq)
+    out *= radius
+    np.cos(out, out=out)
+    np.subtract(1.0, out, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (1.0 - np.cos(radius * np.sqrt(psq))) / psq
+        out /= psq
     out[psq == 0.0] = 0.5 * radius**2
     return out
 
@@ -85,26 +95,42 @@ def _half_grid_kernel(freqs, radius):
 
 
 class _Engine:
-    """Padded transform geometry and truncated Coulomb kernel of one grid.
+    """Padded transform geometry and truncated Coulomb kernel of one
+    support box of box_dims nodes on a grid of dims nodes.
 
-    Fields are zero-padded to twice their dims per axis; the truncation
-    radius is the diagonal of the original (unpadded) box.
+    The truncation radius R is the box diagonal.  Each axis is padded to
+    the smallest 5-smooth length P with P h >= (b - 1) h + R, which makes
+    the truncated convolution alias-free on the box, unless that exceeds
+    2n; then P = 2n and some aliasing remains.  A box that is the whole
+    grid always takes the cap, the geometry of a whole-grid transform.
     """
 
-    def __init__(self, spec):
-        self.shape = tuple(2 * n for n in spec.dims)
-        self.radius = float(np.linalg.norm(spec.box_lengths))
-        self.pad_volume = spec.cell_volume * float(np.prod(self.shape))
+    def __init__(self, box_dims, spacing, dims):
+        from scipy.fft import next_fast_len
+
+        self.radius = float(np.linalg.norm([h * (b - 1) for b, h in zip(box_dims, spacing)]))
+        self.shape = tuple(
+            min(next_fast_len(math.ceil(b - 1 + self.radius / h), real=True), 2 * n)
+            for b, h, n in zip(box_dims, spacing, dims))
+        self.pad_volume = math.prod(spacing) * float(np.prod(self.shape))
         #: angular frequency axes of the full padded reciprocal grid
         self.freqs = tuple(
-            _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spec.spacing))
+            _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spacing))
         #: the kernel on the rfftn half-grid, shared by every caller
         self.kernel = _half_grid_kernel(self.freqs, self.radius)
         self.kernel.flags.writeable = False
 
 
-# bounded: the kernel of a 192^3 grid alone takes 227 MB
+# bounded: the kernel of a whole 192^3 grid takes 227 MB; a smeared tile's
+# box on a 170^3 grid takes 36 MB
 _engine = functools.lru_cache(maxsize=8)(_Engine)
+
+
+def _box_engine(values, spec):
+    """The support box of values (a union over a stack) and its engine."""
+    box = _support_box(values, pad=1)
+    dims = tuple(s.stop - s.start for s in box)
+    return box, _engine(dims, spec.spacing, spec.dims)
 
 
 def _check_support(values):
@@ -138,60 +164,53 @@ def _as_field(rho, spec=None):
 def _potential(values, spec):
     """Truncated-kernel potential of real fields on their support box.
 
-    values holds one field, or a stack of fields along leading axes.  Each
-    is zero-padded to the engine shape, multiplied by the cached kernel on
-    the rfftn half-grid and cropped back to the box.  The potential is
-    returned on the support box of values (the union over a stack) and is
-    0 elsewhere, which is all that values * potential reads.
+    values holds one field, or a stack of fields along leading axes.
+    Returns (pot, box): box is the support box of values (the union over a
+    stack), a tuple of three slices, and pot the potential on it, of shape
+    values[..., *box].shape.  The potential outside the box is never
+    formed; values * potential vanishes there.  The box values are
+    zero-padded to the engine shape, multiplied by the cached kernel on the
+    rfftn half-grid and cropped back to the box.
 
     The transforms run axis by axis in pocketfft's own rfftn/irfftn order,
     so every line kept goes through the same 1D plan on the same data and
-    the result on the box equals irfftn(rfftn(values, s) * kernel, s).
-    Only the z lines through the box are transformed on the way in, and
-    only the y lines through its x rows and the z lines through its (x, y)
-    rows on the way out; every other line is all zeros on the way in or
-    cropped away on the way out.  A field nonzero on every node runs the
-    whole-grid transforms.  The 1/(P1 P2 P3) scale is applied once at the
-    end, rounded from long double as pocketfft rounds it.
+    pot equals irfftn(rfftn(values[..., *box], s) * kernel, s) on the box.
+    Each pass pads only the axis it transforms (the n= argument), so the
+    all-zero padding lines of the other axes are never transformed on the
+    way in, and each inverse pass crops before the next.  The
+    1/(P1 P2 P3) scale is applied once at the end, rounded from long
+    double as pocketfft rounds it.
     """
     import scipy.fft as _fft  # lazy: commands that run no transform skip the import
 
-    engine = _engine(spec)
+    box, engine = _box_engine(values, spec)
     workers = _fft_workers()
     p1, p2, p3 = engine.shape
-    bx, by, _ = _support_box(values)
-    stack = values.shape[:-3]
-    coeffs = _fft.rfft(values[..., bx, by, :], n=p3, axis=-1, workers=workers)
-    slabs = np.zeros(stack + (p1,) + coeffs.shape[-2:], dtype=complex)
-    slabs[..., bx, :, :] = coeffs
-    slabs = _fft.fft(slabs, axis=-3, overwrite_x=True, workers=workers)
-    coeffs = np.zeros(stack + engine.kernel.shape, dtype=complex)
-    coeffs[..., by, :] = slabs
-    del slabs  # freed before the largest transform
-    coeffs = _fft.fft(coeffs, axis=-2, overwrite_x=True, workers=workers)
+    b1, b2, b3 = (s.stop - s.start for s in box)
+    coeffs = _fft.rfft(values[(...,) + box], n=p3, axis=-1, workers=workers)
+    coeffs = _fft.fft(coeffs, n=p1, axis=-3, overwrite_x=True, workers=workers)
+    coeffs = _fft.fft(coeffs, n=p2, axis=-2, overwrite_x=True, workers=workers)
     coeffs *= engine.kernel
     coeffs = _fft.ifft(coeffs, axis=-3, norm="forward", overwrite_x=True,
-                       workers=workers)[..., bx, :, :]
+                       workers=workers)[..., :b1, :, :]
     coeffs = _fft.ifft(coeffs, axis=-2, norm="forward", overwrite_x=True,
-                       workers=workers)[..., by, :]
-    box_pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward",
-                         workers=workers)[..., :spec.dims[2]]
-    box_pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
-    pot = np.zeros(values.shape)
-    pot[..., bx, by, :] = box_pot
-    return pot
+                       workers=workers)[..., :b2, :]
+    pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward", workers=workers)[..., :b3]
+    pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
+    return pot, box
 
 
 def hartree(rho, spec=None):
     """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy, >= 0.
 
-    Spectral evaluation with the truncated kernel; raises SupportError when
-    the density leaks into the boundary cell layer of its box.
+    Spectral evaluation with the truncated kernel on the support box;
+    raises SupportError when the density leaks into the boundary cell
+    layer of its grid.
     """
     field = _as_field(rho, spec)
     _check_support(field.values)
-    pot = _potential(field.values, field.spec)
-    return 0.5 * field.spec.cell_volume * float(np.sum(field.values * pot))
+    pot, box = _potential(field.values, field.spec)
+    return 0.5 * field.spec.cell_volume * float(np.sum(field.values[box] * pot))
 
 
 def kernel_moment(rho, kvecs, spec=None):
@@ -204,10 +223,11 @@ def kernel_moment(rho, kvecs, spec=None):
     the lexicographically larger of the two; on the grid they differ only
     through the Nyquist planes, which carry no weight for a resolved field.
 
-    The field is zero-padded to the engine shape and transformed with a
-    plain DFT scaled by the cell volume, which approximates the continuum
-    transform int rho e^{-ip.x} dx at the engine frequencies (up to the
-    phase of the grid origin, which cancels in |.|^2).
+    The support box of the field is zero-padded to the shape of the engine
+    hartree uses and transformed with a plain DFT scaled by the cell
+    volume, which approximates the continuum transform int rho e^{-ip.x} dx
+    at the engine frequencies (up to the phase of the box origin, which
+    cancels in |.|^2).
     """
     import scipy.fft as _fft
 
@@ -215,10 +235,13 @@ def kernel_moment(rho, kvecs, spec=None):
     if kvecs.shape[1] != 3:
         raise ValueError("kvecs must be (n, 3)")
     field = _as_field(rho, spec)
-    engine = _engine(field.spec)
+    box, engine = _box_engine(field.values, field.spec)
     fx, fy, fz = engine.freqs
-    coeffs = _fft.fftn(field.values, s=engine.shape, workers=_fft_workers())
-    asq = np.abs(coeffs * field.spec.cell_volume) ** 2
+    coeffs = _fft.fftn(field.values[box], s=engine.shape, workers=_fft_workers())
+    coeffs *= field.spec.cell_volume
+    asq = np.abs(coeffs)
+    del coeffs
+    asq *= asq
     keys = [max(tuple(k), tuple(-k)) for k in kvecs]
     moments = {}
     for k in keys:
@@ -227,8 +250,9 @@ def kernel_moment(rho, kvecs, spec=None):
                    + (fy[None, :, None] - k[1]) ** 2
                    + (fz[None, None, :] - k[2]) ** 2)
             # (2 pi)^{-3} int |A|^2 K dp  ->  (1/V_pad) sum |A|^2 K
-            moments[k] = float(
-                np.sum(asq * _kernel_values(psq, engine.radius))) / engine.pad_volume
+            weighted = _kernel_values(psq, engine.radius)
+            weighted *= asq
+            moments[k] = float(np.sum(weighted)) / engine.pad_volume
     out = np.array([moments[k] for k in keys])
     return out if out.size > 1 else float(out[0])
 
@@ -312,8 +336,9 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     for lo in range(0, len(coeffs), step):
         _check_support((coeffs[lo:lo + step] @ flat).reshape(-1, *field.spec.dims))
 
-    pots = _potential(basis, field.spec).reshape(len(basis), -1)
-    gram = 0.5 * field.spec.cell_volume * (flat @ pots.T)
+    pots, box = _potential(basis, field.spec)
+    box_flat = basis[(...,) + box].reshape(len(basis), -1)
+    gram = 0.5 * field.spec.cell_volume * (box_flat @ pots.reshape(len(basis), -1).T)
     lhs = float(np.sum(w_tau * np.sum((coeffs @ gram) * coeffs, axis=1)))
     return lhs, rhs
 

@@ -230,7 +230,8 @@ def _support_box(values, pad=0):
         idx = np.flatnonzero(np.any(nonzero, axis=others))
         if idx.size == 0:
             return tuple(slice(0, n) for n in values.shape[-3:])
-        box.append(slice(max(idx[0] - pad, 0), idx[-1] + pad + 1))
+        box.append(slice(max(idx[0] - pad, 0),
+                         min(idx[-1] + pad + 1, nonzero.shape[axis])))
     return tuple(box)
 
 

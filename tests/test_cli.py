@@ -30,6 +30,26 @@ GAUSS_JSON = (
     '"flags": ["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 
+TETRA = "builtin:smeared-tetra,rho0=1,ell=2,delta=0.5"
+
+# the whole stdout of `certify --density TETRA`, which takes the grid route:
+# "hartree" is the alias-free truncated-kernel value on the support box
+TETRA_JSON = (
+    '{"params": {"p": 4, "theta": 0.5, "C": 1, "q": 1, "variant": "quantum", '
+    '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
+    '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
+    '1.6399999999999999}, "functionals": {"mass": 0.33334185397436944, "l2": '
+    '0.29830109672558952, "l43": 0.31779665003905894, "l53": '
+    '0.3067123374911796, "kin": 49.908963490267752, "tv": 3.537338269623211, '
+    '"thg": 11294.464964105529, "theta": 0.5, "p": 4, "hartree": '
+    '0.13463014495068124}, "lda": 2.5611554035150501, "epsilon_star": '
+    '8.889011099759955, "rhs": {"bulk": 5.614681199857066, "kin": '
+    '55.523644688226383, "theta": 6.6079071961466218e-11, "total": '
+    '61.138325888149531}, "band": [-58.577170484634479, 63.699481291664583], '
+    '"advisory_envelope": [2.27468039926418, 3180.7884590424642], "flags": '
+    '["conjectured_constant", "eps_star_above_half"]}' "\n"
+)
+
 # the stdout lines of `scaling --n 1e4:1e12:6` and of `verify --suite NAME`
 SCALING_ROWS = [
     "N total",
@@ -84,6 +104,12 @@ def test_certify_json(runner):
     assert doc["rhs"]["total"] == pytest.approx(2.5221408838507084, rel=1e-12)
     assert doc["flags"] == ["conjectured_constant", "eps_star_above_half"]
     assert result.stdout == GAUSS_JSON
+
+
+def test_certify_smeared_tetra_json(runner):
+    result = runner.invoke(cli.main, ["certify", "--density", TETRA])
+    assert result.exit_code == 0
+    assert result.stdout == TETRA_JSON
 
 
 def test_certify_deterministic_output(runner):

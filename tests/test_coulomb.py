@@ -53,24 +53,69 @@ def _padded_geometry(spec):
     return shape, fx, fy, fz, float(np.linalg.norm(spec.box_lengths))
 
 
-def _hartree_reference(fld):
-    """Full complex FFT of the hand-padded field, kernel built in place."""
-    shape, fx, fy, fz, radius = _padded_geometry(fld.spec)
-    n1, n2, n3 = fld.spec.dims
+def _support_slices(values):
+    """The bounding box of the nonzero values (a union over a stack),
+    widened by one node and clipped to the grid."""
+    nonzero = np.any(values != 0, axis=tuple(range(values.ndim - 3)))
+    return tuple(slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
+                 for idx, n in zip(np.nonzero(nonzero), nonzero.shape))
+
+
+def _box_geometry(fld):
+    """Support box, radius = its diagonal, and each axis padded to the
+    smallest 5-smooth length P with P >= b - 1 + R/h, at most 2n."""
+    box = _support_slices(fld.values)
+    sizes = [s.stop - s.start for s in box]
+    radius = float(np.linalg.norm([h * (b - 1) for b, h in zip(sizes, fld.spec.spacing)]))
+    shape = tuple(min(scipy.fft.next_fast_len(math.ceil(b - 1 + radius / h), real=True), 2 * n)
+                  for b, h, n in zip(sizes, fld.spec.spacing, fld.spec.dims))
+    fx, fy, fz = (2.0 * math.pi * np.fft.fftfreq(n, d=h)
+                  for n, h in zip(shape, fld.spec.spacing))
+    return box, (shape, fx, fy, fz, radius)
+
+
+def _hartree_reference(fld, box, geometry):
+    """Full complex FFT of the hand-padded box values, kernel built in place."""
+    shape, fx, fy, fz, radius = geometry
+    sub = fld.values[box]
+    n1, n2, n3 = sub.shape
     padded = np.zeros(shape)
-    padded[:n1, :n2, :n3] = fld.values
+    padded[:n1, :n2, :n3] = sub
     psq = fx[:, None, None] ** 2 + fy[None, :, None] ** 2 + fz[None, None, :] ** 2
     kernel = 4.0 * math.pi * _truncated_kernel(psq, radius)
     pot = np.fft.ifftn(np.fft.fftn(padded) * kernel).real[:n1, :n2, :n3]
-    return 0.5 * fld.spec.cell_volume * float(np.sum(fld.values * pot))
+    return 0.5 * fld.spec.cell_volume * float(np.sum(sub * pot))
 
 
-@pytest.mark.parametrize("rho", [field.Density.gaussian(1.0, 1.0),
-                                 field.Density.compact_bump(1.0, 1.3)],
-                         ids=["gaussian", "compact_bump"])
-def test_hartree_matches_complex_fft_reference(rho):
+def _gaussian_case():
+    # a field nonzero on every node keeps the whole-grid geometry: padded to
+    # 2n, kernel truncated at the grid diagonal
+    rho = field.Density.gaussian(1.0, 1.0)
     fld = field.density_to_field(rho, field.default_grid(rho, 32))
-    assert coulomb.hartree(fld) == pytest.approx(_hartree_reference(fld), rel=1e-13)
+    return fld, tuple(slice(0, n) for n in fld.spec.dims), _padded_geometry(fld.spec)
+
+
+def _bump_case():
+    rho = field.Density.compact_bump(1.0, 1.3)
+    fld = field.density_to_field(rho, field.default_grid(rho, 32))
+    return (fld, *_box_geometry(fld))
+
+
+def _wide_bump_case():
+    # the support box spans about half of each axis, so P stays below 2n
+    rho = field.Density.compact_bump(1.0, 1.3)
+    spec = field.GridSpec((40, 40, 40), (4.2 / 39,) * 3, (-2.1, -2.1, -2.1))
+    fld = field.density_to_field(rho, spec)
+    box, geometry = _box_geometry(fld)
+    assert all(p < 2 * n for p, n in zip(geometry[0], spec.dims))
+    return fld, box, geometry
+
+
+@pytest.mark.parametrize("case", [_gaussian_case, _bump_case, _wide_bump_case],
+                         ids=["gaussian", "compact_bump", "wide_compact_bump"])
+def test_hartree_matches_complex_fft_reference(case):
+    fld, box, geometry = case()
+    assert coulomb.hartree(fld) == pytest.approx(_hartree_reference(fld, box, geometry), rel=1e-13)
 
 
 def test_hartree_builds_kernel_once_per_grid(monkeypatch):
@@ -92,15 +137,26 @@ def test_hartree_builds_kernel_once_per_grid(monkeypatch):
     # the non-negative-frequency octant of the padded reciprocal grid
     assert builds == [(25, 25, 25)]
     assert values[0] == values[1] == values[2]
+    # the engine is keyed on the support box: the same box reuses it, a
+    # smaller box on the same grid builds its own, once
+    coulomb.hartree(rho.scaled(3.0), spec)
+    assert len(builds) == 1
+    bump = field.Density.compact_bump(1.5, 1.0)
+    coulomb.hartree(bump, spec)
+    coulomb.hartree(bump.scaled(2.0), spec)
+    assert len(builds) == 2 and builds[1] != builds[0]
 
 
 def _potential_reference(values, spec):
-    """The unpruned transform: rfftn of the whole padded box, kernel,
-    irfftn of the whole padded box, crop."""
-    engine = coulomb._engine(spec)
-    n1, n2, n3 = spec.dims
-    coeffs = scipy.fft.rfftn(values, s=engine.shape, axes=(-3, -2, -1)) * engine.kernel
-    return scipy.fft.irfftn(coeffs, s=engine.shape, axes=(-3, -2, -1))[..., :n1, :n2, :n3]
+    """The unpruned transform on the support box: rfftn of the whole padded
+    box, kernel, irfftn of the whole padded box, crop."""
+    box = _support_slices(values)
+    sub = values[(...,) + box]
+    engine = coulomb._engine(sub.shape[-3:], spec.spacing, spec.dims)
+    n1, n2, n3 = sub.shape[-3:]
+    coeffs = scipy.fft.rfftn(sub, s=engine.shape, axes=(-3, -2, -1)) * engine.kernel
+    pot = scipy.fft.irfftn(coeffs, s=engine.shape, axes=(-3, -2, -1))[..., :n1, :n2, :n3]
+    return pot, box
 
 
 @pytest.mark.parametrize("dims", [(17, 24, 9), (16, 16, 16), (15, 15, 15)])
@@ -108,9 +164,12 @@ def _potential_reference(values, spec):
 def test_potential_equals_unpruned_transform(dims, stack):
     spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
     values = np.random.default_rng(sum(dims)).uniform(size=stack + dims)
-    got = coulomb._potential(values, spec)
+    got, box = coulomb._potential(values, spec)
+    want, want_box = _potential_reference(values, spec)
+    # nonzero on every node: the box is the whole grid
+    assert box == want_box == tuple(slice(0, n) for n in dims)
     assert got.shape == values.shape
-    np.testing.assert_array_equal(got, _potential_reference(values, spec))
+    np.testing.assert_array_equal(got, want)
 
 
 def _sparse_values(dims, stack, blocks, seed):
@@ -139,19 +198,16 @@ def test_pruned_potential_equals_unpruned_on_the_support(dims, case):
     stack, blocks = SPARSE_CASES[case]
     spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
     values = _sparse_values(dims, stack, blocks, seed=sum(dims))
-    got = coulomb._potential(values, spec)
-    want = _potential_reference(values, spec)
-    assert got.shape == values.shape
+    got, box = coulomb._potential(values, spec)
+    want, want_box = _potential_reference(values, spec)
+    assert box == want_box
+    assert got.shape == values[(...,) + box].shape
+    np.testing.assert_array_equal(got, want)
 
-    # the x and y extent of the nonzero values over the stack; z lines stay whole
-    nonzero = np.any(values != 0, axis=tuple(range(len(stack))))
-    xs, ys, _ = np.nonzero(nonzero)
-    box = np.s_[xs.min():xs.max() + 1, ys.min():ys.max() + 1, :]
-    np.testing.assert_array_equal(got[..., box[0], box[1], :], want[..., box[0], box[1], :])
+    # the box holds every nonzero value
     outside = np.ones(dims, dtype=bool)
     outside[box] = False
-    assert not np.any(got[..., outside])
-    np.testing.assert_array_equal(values * got, values * want)
+    assert not np.any(values[..., outside])
 
 
 def test_hartree_of_zero_field_is_zero():
@@ -176,9 +232,32 @@ def test_mirrored_kernel_equals_direct_evaluation(shape):
 
 
 def test_engine_kernel_equals_direct_evaluation():
-    engine = coulomb._Engine(field.GridSpec((9, 12, 7), (0.3, 0.2, 0.25)))
+    # a box of 4 x 6 x 3 nodes on a 9 x 12 x 7 grid
+    engine = coulomb._Engine((4, 6, 3), (0.3, 0.2, 0.25), (9, 12, 7))
     np.testing.assert_array_equal(engine.kernel,
                                   _direct_half_grid_kernel(engine.freqs, engine.radius))
+
+
+@pytest.mark.parametrize("box_dims", [(9, 12, 7), (4, 6, 3), (2, 2, 2), (9, 2, 7)])
+def test_engine_geometry(box_dims):
+    spacing, dims = (0.3, 0.2, 0.25), (9, 12, 7)
+    engine = coulomb._Engine(box_dims, spacing, dims)
+    radius = math.sqrt(sum((h * (b - 1)) ** 2 for b, h in zip(box_dims, spacing)))
+    assert engine.radius == pytest.approx(radius, rel=1e-15)
+    for p, b, h, n in zip(engine.shape, box_dims, spacing, dims):
+        if p < 2 * n:
+            # alias-free: the box plus the radius fits, and P is the smallest
+            # 5-smooth length that fits
+            assert p * h >= (b - 1) * h + engine.radius
+            assert scipy.fft.next_fast_len(p, real=True) == p
+            assert all(scipy.fft.next_fast_len(q, real=True) != q
+                       for q in range(math.ceil(b - 1 + engine.radius / h), p))
+        else:
+            assert p == 2 * n
+    if box_dims == dims:
+        # the whole grid keeps the whole-grid geometry
+        assert engine.shape == tuple(2 * n for n in dims)
+        assert engine.radius == float(np.linalg.norm(field.GridSpec(dims, spacing).box_lengths))
 
 
 def test_kernel_moment_pairs_match_unpaired_reference():
@@ -284,3 +363,66 @@ def test_periodic_identity_checks_every_shifted_field():
     coeffs = {(0, 0, 0): 1.0, (1, 0, 0): -0.5, (-1, 0, 0): -0.5}
     with pytest.raises(field.SupportError):
         coulomb.periodic_localization_identity(rho, coeffs, ell=4.0 * half, spec=spec)
+
+
+def test_periodic_identity_on_a_support_box():
+    # the Gram matrix reads only the box columns of a compactly supported field
+    rho = field.Density.compact_bump(1.0, 1.3)
+    spec = field.GridSpec((20, 20, 20), (4.0 / 19,) * 3, (-2.0, -2.0, -2.0))
+    coeffs = {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j}
+    box = _support_slices(field.density_to_field(rho, spec).values)
+    assert all(s.stop - s.start < n for s, n in zip(box, spec.dims))
+    lhs, rhs = coulomb.periodic_localization_identity(rho, coeffs, ell=8.0, spec=spec)
+    want = _periodic_identity_lhs_reference(rho, coeffs, 8.0, spec, 8)
+    assert lhs == pytest.approx(want, rel=1e-12)
+    assert lhs == pytest.approx(rhs, rel=1e-2)
+
+
+def _overpadded_hartree(fld, shape, radius):
+    """D by Parseval, (V/2N) sum_p |rhohat(p)|^2 K(p), with the support box
+    zero-padded to shape and the kernel truncated at radius.  The sum runs
+    over the rfft half-grid in slabs of z frequencies, each interior plane
+    counted twice for its mirror, so an over-padded grid fits in memory."""
+    p1, p2, p3 = shape
+    fx, fy, fz = (2.0 * math.pi * np.fft.fftfreq(n, d=h)
+                  for n, h in zip(shape, fld.spec.spacing))
+    half = scipy.fft.rfft(fld.values[_support_slices(fld.values)], n=p3, axis=-1)
+    weight = np.full(half.shape[-1], 2.0)
+    weight[0] = 1.0
+    if p3 % 2 == 0:
+        weight[-1] = 1.0
+    total = 0.0
+    for lo in range(0, half.shape[-1], 8):
+        coeffs = scipy.fft.fft(scipy.fft.fft(half[..., lo:lo + 8], n=p2, axis=1), n=p1, axis=0)
+        psq = (fx[:, None, None] ** 2 + fy[None, :, None] ** 2
+               + fz[None, None, lo:lo + coeffs.shape[-1]] ** 2)
+        total += float(np.sum(weight[lo:lo + 8] * np.abs(coeffs) ** 2
+                              * (4.0 * math.pi) * _truncated_kernel(psq, radius)))
+    return 0.5 * fld.spec.cell_volume * total / (p1 * p2 * p3)
+
+
+@pytest.fixture(scope="module")
+def smeared_tile():
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    return field.density_to_field(rho, rho.default_grid())
+
+
+def test_smeared_tile_hartree_is_alias_free(smeared_tile):
+    fld = smeared_tile
+    box, engine = coulomb._box_engine(fld.values, fld.spec)
+    assert all(p < 2 * n for p, n in zip(engine.shape, fld.spec.dims))
+    got = coulomb.hartree(fld)
+    # twice the zero padding and 1.3 times the radius: alias-free by a wide
+    # margin, and a longer truncation radius changes nothing once it
+    # exceeds every distance in the box
+    sizes = [s.stop - s.start for s in box]
+    want = _overpadded_hartree(fld, tuple(b + 2 * (p - b) for b, p in zip(sizes, engine.shape)),
+                               1.3 * engine.radius)
+    # the whole-grid geometry (2n, grid diagonal) gave 0.13507946949173616,
+    # 0.33% high
+    assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_smeared_tile_kernel_moment_zero_matches_hartree(smeared_tile):
+    mom = coulomb.kernel_moment(smeared_tile, np.zeros(3))
+    assert 2.0 * math.pi * mom == pytest.approx(coulomb.hartree(smeared_tile), rel=1e-10)
