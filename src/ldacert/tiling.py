@@ -14,10 +14,10 @@ by the factor 1/s, and eta_delta is the bump of support radius delta/10.
 
 Both cutoffs are evaluated in closed form: the convolution of an
 indicator of a convex polyhedron with a radial kernel reduces to solid
-angle terms plus one single integral per face edge, resolved with
-precomputed radial profiles of the mollifier.  No volumetric quadrature
-is involved, so point evaluation costs O(faces) and is exact to
-profile-table accuracy.
+angle terms plus one single integral per face edge, resolved with cubic
+Hermite tables of the mollifier's radial profiles, built like its norm on
+field's one radial rule.  No volumetric quadrature is involved, so point
+evaluation costs O(faces) and is exact to table accuracy (about 1e-13).
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
@@ -33,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from . import field
 
 __all__ = [
     "GeometryError",
@@ -180,18 +182,8 @@ class TilingConfig:
 # the mollifier and its radial profiles
 
 
-@lru_cache(maxsize=1)
 def _mollifier_norm():
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda r: math.exp(-1.0 / (1.0 - r * r)) * r * r if r < 1.0 else 0.0,
-        0.0,
-        1.0,
-        epsabs=1e-16,
-        epsrel=1e-13,
-    )
-    return 1.0 / (4.0 * math.pi * val)
+    return 1.0 / field._bump_radial_integral("pow", 1.0, 0.0)
 
 
 def mollifier_value(r):
@@ -222,43 +214,22 @@ def mollifier_hat(s):
 
 
 @lru_cache(maxsize=1)
-def _profile_splines():
-    """Cumulative radial integrals of the unit bump, as cubic splines on [0,1].
+def _profiles():
+    """Radial profiles of the unit bump on [0, 1], as cubic Hermite tables of
+    k1(r) = int_r^1 eta_1(t) t dt and j(r) = int_r^1 g1(t) / t^2 dt, with
+    g1(r) = int_0^r eta_1(t) t^2 dt  (g1(1) = 1/(4 pi)).
 
-    g1(r) = int_0^r eta_1(t) t^2 dt         (g1(1) = 1/(4 pi))
-    k1(r) = int_r^1 eta_1(t) t dt
-    j(r)  = int_r^1 g1(t) / t^2 dt
+    Knot values are tail sums over the cells of field's radial rule, with g1
+    at its nodes from field._bump_enclosed; the slopes are exact,
+    k1' = -eta_1 t and j' = -g1/t^2 (0 at t = 0).
     """
-    from scipy.interpolate import CubicSpline
-
-    n_sub = 1200
-    knots = np.linspace(0.0, 1.0, n_sub + 1)
-    x, w = leggauss(8)
-    mid = 0.5 * (knots[:-1] + knots[1:])
-    half = 0.5 * (knots[1:] - knots[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    wts = half[:, None] * w[None, :]
-    eta = mollifier_value(nodes)
-
-    g1_steps = np.sum(eta * nodes**2 * wts, axis=1)
-    g1_vals = np.concatenate([[0.0], np.cumsum(g1_steps)])
-
-    k1_steps = np.sum(eta * nodes * wts, axis=1)
-    k1_vals = np.concatenate([[0.0], np.cumsum(k1_steps[::-1])])[::-1]
-
-    g1 = CubicSpline(
-        knots, g1_vals, bc_type=((1, 0.0), (1, float(mollifier_value(1.0))))
-    )
-    k1 = CubicSpline(
-        knots, k1_vals, bc_type=((1, 0.0), (1, -float(mollifier_value(1.0))))
-    )
-
-    # j has integrand g1(t)/t^2 -> 0 as t -> 0, evaluated off the g1 spline
-    ratio = g1(nodes) / nodes**2
-    j_steps = np.sum(ratio * wts, axis=1)
-    j_vals = np.concatenate([[0.0], np.cumsum(j_steps[::-1])])[::-1]
-    j = CubicSpline(knots, j_vals, bc_type=((1, 0.0), (1, -g1_vals[-1])))
-    return g1, k1, j
+    knots, nodes, wts = field._radial_rule()
+    q_knots, q_nodes = field._bump_enclosed()
+    norm = _mollifier_norm()
+    tail = lambda f: np.append(np.cumsum(np.sum(f * wts, axis=1)[::-1])[::-1], 0.0)
+    j_slope = -norm * q_knots / np.maximum(knots, knots[1]) ** 2  # q = 0 at t = 0
+    return (field._tail_interpolant(tail(mollifier_value(nodes) * nodes), -mollifier_value(knots) * knots),
+            field._tail_interpolant(tail(norm * q_nodes / nodes**2), j_slope))
 
 
 def _qc_profile(r, rs):
@@ -267,23 +238,14 @@ def _qc_profile(r, rs):
     G1 is the cumulative mass of eta_{delta}; Q_c is nonnegative, supported
     on [0, rs), and behaves like 1/(4 pi r) as r -> 0.
     """
-    g1, _, j = _profile_splines()
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape)
-    m = r < rs
-    rm = np.maximum(r[m], 1e-300)
-    out[m] = (1.0 / (4.0 * math.pi)) * (1.0 / rm - 1.0 / rs) - j(rm / rs) / rs
-    return out
+    rm = np.maximum(r, 1e-300)
+    return ((1.0 / (4.0 * math.pi)) * np.maximum(1.0 / rm - 1.0 / rs, 0.0)
+            - _profiles()[1](rm / rs) / rs)
 
 
 def _kg_profile(r, rs):
     """K_g(r) = int_r^rs eta_delta(t) t dt, the gradient-side radial profile."""
-    _, k1, _ = _profile_splines()
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape)
-    m = r < rs
-    out[m] = k1(r[m] / rs) / rs
-    return out
+    return _profiles()[0](r / rs) / rs
 
 
 # ---------------------------------------------------------------------------
@@ -785,8 +747,6 @@ def sample_field(cfg, j, spec, kind="chi"):
     cells and clipped to the grid.  Every other node is 0, as a pointwise
     evaluation would give.
     """
-    from .field import ScalarField
-
     if kind not in ("chi", "xi"):
         raise ValueError(f"kind must be 'chi' or 'xi', got {kind!r}")
     lo, hi = _reach_box(_vertex_key(_tile_vertices(cfg, j, kind == "chi")),
@@ -803,4 +763,4 @@ def sample_field(cfg, j, spec, kind="chi"):
         vals = xi_values(cfg, j, pts)
     values = np.zeros(spec.dims)
     values[box] = vals.reshape(xs.shape)
-    return ScalarField(spec, values)
+    return field.ScalarField(spec, values)

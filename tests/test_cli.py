@@ -38,15 +38,15 @@ TETRA_JSON = (
     '{"params": {"p": 4, "theta": 0.5, "C": 1, "q": 1, "variant": "quantum", '
     '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
     '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
-    '1.6399999999999999}, "functionals": {"mass": 0.33334185397436944, "l2": '
-    '0.29830109672558952, "l43": 0.31779665003905894, "l53": '
-    '0.3067123374911796, "kin": 49.908963490267752, "tv": 3.537338269623211, '
-    '"thg": 11294.464964105529, "theta": 0.5, "p": 4, "hartree": '
-    '0.13463014495068124}, "lda": 2.5611554035150501, "epsilon_star": '
-    '8.889011099759955, "rhs": {"bulk": 5.614681199857066, "kin": '
-    '55.523644688226383, "theta": 6.6079071961466218e-11, "total": '
-    '61.138325888149531}, "band": [-58.577170484634479, 63.699481291664583], '
-    '"advisory_envelope": [2.27468039926418, 3180.7884590424642], "flags": '
+    '1.6399999999999999}, "functionals": {"mass": 0.33334185397436999, "l2": '
+    '0.29830109672559074, "l43": 0.31779665003905977, "l53": '
+    '0.30671233749118071, "kin": 49.908963487750839, "tv": 3.537338269623223, '
+    '"thg": 11294.464963326491, "theta": 0.5, "p": 4, "hartree": '
+    '0.13463014495068162}, "lda": 2.5611554035150594, "epsilon_star": '
+    '8.8890110980137251, "rhs": {"bulk": 5.6146811987540879, "kin": '
+    '55.523644686529316, "theta": 6.6079072151625063e-11, "total": '
+    '61.138325885349488}, "band": [-58.577170481834429, 63.699481288864547], '
+    '"advisory_envelope": [2.2746803992641889, 3180.7884588957686], "flags": '
     '["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 
@@ -110,6 +110,35 @@ def test_certify_smeared_tetra_json(runner):
     result = runner.invoke(cli.main, ["certify", "--density", TETRA])
     assert result.exit_code == 0
     assert result.stdout == TETRA_JSON
+
+
+@pytest.mark.parametrize("extra", [["--theta", "0.05"],
+                                   ["--theta", "0.0333334", "--variant", "classical"]],
+                         ids=["quantum", "classical"])
+def test_certify_compact_bump_at_large_p(runner, extra, bump_reference):
+    # accepted parameters whose thg integrand has factors beyond the float
+    # range; the product, and so thg, is finite
+    theta = float(extra[1])
+    result = runner.invoke(cli.main, ["certify", "--density",
+                                      "builtin:compact-bump,radius=1,mass=1",
+                                      "--p", "40", *extra])
+    assert result.exit_code == 0, result.output
+    # unit radius and mass: thg = c^(p theta) int |grad e^(-theta/(1-u^2))|^p
+    # with c = 1 / int e^(-1/(1-u^2))
+    ref = (bump_reference("pow", 1.0, 0.0) ** (-40 * theta)
+           * bump_reference("grad", theta, 40.0))
+    assert abs(_json_payload(result)["functionals"]["thg"] / ref - 1) <= 1e-13
+
+
+def test_certify_compact_bump_refuses_an_unresolved_thg(runner):
+    # accepted classical parameters whose thg integrand peaks far inside one
+    # cell of the radial rule: a parameter rejection, not a wrong value
+    result = runner.invoke(cli.main, ["certify", "--density",
+                                      "builtin:compact-bump,radius=1,mass=1",
+                                      "--p", "1000", "--theta", "0.0013334",
+                                      "--variant", "classical"])
+    assert result.exit_code == 2
+    assert "parameter rejection" in result.output and "radial rule" in result.output
 
 
 def test_certify_deterministic_output(runner):
@@ -283,24 +312,33 @@ _IMPORT_PROBE = """
 import sys
 from ldacert import cli
 cli.main.main(sys.argv[1:], standalone_mode=False)
-for name in ("scipy.optimize", "scipy.fft"):
-    sys.stderr.write("%s loaded: %s\\n" % (name, name in sys.modules))
+sys.stderr.write("scipy loaded: %s\\n" % " ".join(
+    name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_certify_leaves_scipy_optimize_unimported(tmp_path):
-    # the eps optimizers are closed forms and one bisection: a certify of a
-    # grid file or a gaussian pays no scipy.optimize import; scipy.fft loads
-    # only with the first transform, which neither info nor a gaussian runs
+    # the eps optimizers are closed forms and one bisection, and the bump's
+    # radial integrals and the tile profiles are one numpy rule, so no
+    # command here imports scipy.optimize, scipy.integrate or
+    # scipy.interpolate.  scipy.fft loads with the first transform; info, a
+    # tile and the analytic families run none and load no scipy at all
     g = field.Density.gaussian(1.0, 1.0)
     path = tmp_path / "small.grid"
     field.write_grid(field.density_to_field(g, field.default_grid(g, 24)), str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
     for args, fft in ((["certify", "--density", str(path)], True),
+                      (["certify", "--density", TETRA], True),
                       (["certify", "--density", GAUSS], False),
+                      (["certify", "--density", "builtin:compact-bump,radius=1,mass=1"], False),
+                      (["tile", "--ell", "2", "--delta", "0.5",
+                        "--out", str(tmp_path / "tile.grid")], False),
                       (["info"], False)):
         proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *args],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert "scipy.optimize loaded: False" in proc.stderr
-        assert f"scipy.fft loaded: {fft}" in proc.stderr
+        loaded = set(proc.stderr.rsplit("scipy loaded:", 1)[1].split())
+        assert not loaded & {"scipy.optimize", "scipy.integrate", "scipy.interpolate"}, args
+        assert ("scipy.fft" in loaded) == fft, args
+        if not fft:
+            assert not loaded, args

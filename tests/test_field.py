@@ -76,8 +76,9 @@ def test_compact_bump_mass_and_support():
 
 
 # sha256 of the compact-bump functionals (repr) and samples (20^3 default
-# grid, raw float64) below, as the seven-integral table computed them
-BUMP_FUNCTIONALS_SHA256 = "9771be4196bf8aedd644b3b9e8deaa5f0003d4f3566cfa0fa45f5438e5abbf5b"
+# grid, raw float64) below, as the seven-integral table computed them on
+# the composite Gauss-Legendre radial rule
+BUMP_FUNCTIONALS_SHA256 = "88929ce8d1b1f37b3c12bb28bd38cdce0be8fd807ea67124e8269a7fa718ec52"
 BUMP_SAMPLES_SHA256 = "959b8df95f274a5bfe12aaacf3ac9c5e838037e93a383fc9fd233715c4eeef5c"
 
 
@@ -94,6 +95,41 @@ def test_compact_bump_integrals_cached_one_by_one():
     # sampling and the functionals share the norm; each new (theta, p)
     # adds only its thg quadrature to the five fixed ones
     assert field._bump_radial_integral.cache_info().misses == 1 + 5 + 3
+
+
+# the seven integrals of the default functionals, as (kind, a, b), then thg
+# at the ends and the middle of the accepted p*theta range [4/3, 1 + p/2];
+# at p = 40 the factor (2 a u s^2)^b alone overflows
+_BUMP_INTEGRALS = [
+    ("pow", 1.0, 0.0), ("pow", 2.0, 0.0), ("pow", 4.0 / 3.0, 0.0),
+    ("pow", 5.0 / 3.0, 0.0), ("grad", 0.5, 2.0), ("grad", 1.0, 1.0), ("grad", 0.5, 4.0),
+] + [("grad", pt / p, p) for p in (3.01, 4.0, 6.0, 10.0, 20.0, 40.0)
+     for pt in (4.0 / 3.0, 2.0, 1.0 + p / 2.0)] + [
+    # beyond b = 40: a peak just over one cell wide, and two wide ones
+    ("grad", 4.0 / 129.0, 43.0), ("grad", 41.0 / 80.0, 80.0), ("grad", 151.0 / 300.0, 300.0),
+]
+
+
+@pytest.mark.parametrize("kind,a,b", _BUMP_INTEGRALS)
+def test_bump_radial_integral_matches_mpmath(kind, a, b, bump_reference):
+    got = field._bump_radial_integral(kind, a, b)
+    assert abs(got / bump_reference(kind, a, b) - 1) <= (1e-14 if b <= 40 else 1e-13)
+
+
+@pytest.mark.parametrize("a,b,error", [
+    (4.0 / 132.0, 44.0, ArithmeticError),  # p*theta = 4/3: peak just under one cell
+    (1.0 / 60.0, 80.0, ArithmeticError),
+    (1.3334 / 1000.0, 1000.0, ArithmeticError),
+    (0.2, 500.0, OverflowError),  # resolved, but about 1e+400
+])
+def test_bump_radial_integral_refuses_what_it_cannot_resolve(a, b, error):
+    with pytest.raises(error):
+        field._bump_radial_integral("grad", a, b)
+
+
+def test_bump_unit_hartree_matches_mpmath():
+    # D_1 of the unit bump to 20 digits, by mpmath in the field-energy form
+    assert abs(field._bump_unit_hartree() - 0.80802881693733463505) <= 1e-15
 
 
 def test_smeared_tetra_mass():
