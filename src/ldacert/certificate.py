@@ -194,15 +194,15 @@ def certify(rho, params, model=None, n_grid=None):
     model defaults to the kinetic-plus-exchange power family for params.q.
     Analytic families give every functional and the Hartree term in closed
     form and are not sampled.  Any other density is sampled once, on
-    default_grid(rho, n_grid), and that field gives its functionals and
-    its Hartree term.
+    default_grid(rho, n_grid), and certified as the grid density of those
+    samples.
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
-    sampled = (None if rho.closed_form
-               else field.density_to_field(rho, field.default_grid(rho, n_grid)))
-    F = field.functionals(rho, theta=params.theta, p=params.p, sampled=sampled)
+    if not rho.closed_form:
+        rho = field.Density.grid(field.density_to_field(rho, field.default_grid(rho, n_grid)))
+    F = field.functionals(rho, theta=params.theta, p=params.p)
     zero = F.mass == 0.0 and F.kin == 0.0 and F.thg == 0.0
     if zero:
         F = F.with_hartree(0.0)
@@ -213,7 +213,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = F.with_hartree(rho.hartree(sampled))
+    F = F.with_hartree(rho.hartree())
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:

@@ -2,21 +2,15 @@
 
 The direct (Hartree) term is computed spectrally with a spherically
 truncated Coulomb kernel (Vico, Greengard & Ferrando, J. Comput. Phys. 323,
-2016), sized from the support box of the field: the bounding box of its
-nonzero nodes, widened by one node and clipped to the grid.  The kernel is
-truncated at R = the box diagonal, and each box axis of b nodes is
-zero-padded to the smallest fast length P with P h >= (b - 1) h + R, capped
-at twice the grid dims.  Below the cap the scheme is alias-free (a smeared
-tile on its default grid).  A box that fills the grid (a gaussian sample, a
-dense grid file) keeps the whole-grid geometry, P = 2n with R the grid
-diagonal.  A box that fills most of the grid (a compact bump on its
-default grid) is capped at 2n too, with R its own diagonal.  In both
-cases periodic images still enter at a small relative level; see
-ROADMAP.md, item 4.  The convolution runs as per-axis real and complex
-FFTs of the box values that skip the all-zero padding lines and crop
-before each inverse pass, with the kernel built once per (box, grid)
-geometry and cached.  The same truncated kernel backs the
-reciprocal-space moment integrals and the translation-averaged
+2016) on the support box of the field: its nonzero nodes, widened by one
+node.  _Engine sizes the padding and the truncation radius from the box.
+Below its cap of twice the grid dims the scheme is alias-free (a smeared
+tile on its default grid); a box that fills most or all of the grid (a
+compact bump, a gaussian sample, a dense grid file) takes the cap, and
+periodic images still enter at a small relative level (ROADMAP.md, item
+4).  One forward transform of the box, _spectrum, feeds the convolution
+and the reciprocal-space moment integrals; the kernel, built once per
+(box, grid) geometry and cached, also backs the translation-averaged
 localization identity.  The annulus convolution is an independent 1D
 radial reduction used by the tiling error analysis.
 
@@ -112,7 +106,6 @@ class _Engine:
         self.shape = tuple(
             min(next_fast_len(math.ceil(b - 1 + self.radius / h), real=True), 2 * n)
             for b, h, n in zip(box_dims, spacing, dims))
-        self.pad_volume = math.prod(spacing) * float(np.prod(self.shape))
         #: angular frequency axes of the full padded reciprocal grid
         self.freqs = tuple(
             _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spacing))
@@ -124,13 +117,6 @@ class _Engine:
 # bounded: the kernel of a whole 192^3 grid takes 227 MB; a smeared tile's
 # box on a 170^3 grid takes 36 MB
 _engine = functools.lru_cache(maxsize=8)(_Engine)
-
-
-def _box_engine(values, spec):
-    """The support box of values (a union over a stack) and its engine."""
-    box = _support_box(values, pad=1)
-    dims = tuple(s.stop - s.start for s in box)
-    return box, _engine(dims, spec.spacing, spec.dims)
 
 
 def _check_support(values):
@@ -161,35 +147,45 @@ def _as_field(rho, spec=None):
     raise TypeError(f"expected Density or ScalarField, got {type(rho).__name__}")
 
 
-def _potential(values, spec):
-    """Truncated-kernel potential of real fields on their support box.
+def _spectrum(values, spec):
+    """Forward transform of real fields on their support box.
 
     values holds one field, or a stack of fields along leading axes.
-    Returns (pot, box): box is the support box of values (the union over a
-    stack), a tuple of three slices, and pot the potential on it, of shape
-    values[..., *box].shape.  The potential outside the box is never
-    formed; values * potential vanishes there.  The box values are
-    zero-padded to the engine shape, multiplied by the cached kernel on the
-    rfftn half-grid and cropped back to the box.
-
-    The transforms run axis by axis in pocketfft's own rfftn/irfftn order,
-    so every line kept goes through the same 1D plan on the same data and
-    pot equals irfftn(rfftn(values[..., *box], s) * kernel, s) on the box.
-    Each pass pads only the axis it transforms (the n= argument), so the
-    all-zero padding lines of the other axes are never transformed on the
-    way in, and each inverse pass crops before the next.  The
-    1/(P1 P2 P3) scale is applied once at the end, rounded from long
-    double as pocketfft rounds it.
+    Returns (coeffs, box, engine): box, three slices, is the support box of
+    values (the union over a stack) widened by one node, engine its cached
+    _Engine, and coeffs equals rfftn(values[..., *box], s=engine.shape).
+    The passes run axis by axis in pocketfft's own rfftn order, each padding
+    only the axis it transforms, so the all-zero padding lines of the other
+    axes are never transformed.
     """
     import scipy.fft as _fft  # lazy: commands that run no transform skip the import
 
-    box, engine = _box_engine(values, spec)
+    box = _support_box(values, pad=1)
+    engine = _engine(tuple(s.stop - s.start for s in box), spec.spacing, spec.dims)
     workers = _fft_workers()
     p1, p2, p3 = engine.shape
-    b1, b2, b3 = (s.stop - s.start for s in box)
     coeffs = _fft.rfft(values[(...,) + box], n=p3, axis=-1, workers=workers)
     coeffs = _fft.fft(coeffs, n=p1, axis=-3, overwrite_x=True, workers=workers)
     coeffs = _fft.fft(coeffs, n=p2, axis=-2, overwrite_x=True, workers=workers)
+    return coeffs, box, engine
+
+
+def _potential(values, spec):
+    """Truncated-kernel potential of real fields on their support box.
+
+    Returns (pot, box), box as _spectrum gives it and pot equal to
+    irfftn(rfftn(values[..., *box], s) * kernel, s) on it; values *
+    potential vanishes off the box, so the potential there is never formed.
+    The inverse passes run in pocketfft's irfftn order, each cropping to the
+    box before the next.  The 1/(P1 P2 P3) scale is applied once at the
+    end, rounded from long double as pocketfft rounds it.
+    """
+    import scipy.fft as _fft
+
+    coeffs, box, engine = _spectrum(values, spec)
+    workers = _fft_workers()
+    p1, p2, p3 = engine.shape
+    b1, b2, b3 = (s.stop - s.start for s in box)
     coeffs *= engine.kernel
     coeffs = _fft.ifft(coeffs, axis=-3, norm="forward", overwrite_x=True,
                        workers=workers)[..., :b1, :, :]
@@ -203,13 +199,13 @@ def _potential(values, spec):
 def hartree(rho, spec=None):
     """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy, >= 0.
 
-    Spectral evaluation with the truncated kernel on the support box;
-    raises SupportError when the density leaks into the boundary cell
-    layer of its grid.
+    Spectral evaluation with the truncated kernel on the support box.
+    Raises SupportError when the density leaks into the boundary layer of
+    its grid; each face of the box is a grid face or a layer of zeros.
     """
     field = _as_field(rho, spec)
-    _check_support(field.values)
     pot, box = _potential(field.values, field.spec)
+    _check_support(field.values[box])
     return 0.5 * field.spec.cell_volume * float(np.sum(field.values[box] * pot))
 
 
@@ -219,41 +215,46 @@ def kernel_moment(rho, kvecs, spec=None):
     rho is a Density (sampled on spec, or on its default grid) or a
     ScalarField.  rhohat is the unitary-convention transform; 2*pi*I(0)
     reproduces the truncated-kernel Hartree value of the same field.
-    I(-k) = I(k) for a real density, so each +-k pair is evaluated once, at
-    the lexicographically larger of the two; on the grid they differ only
-    through the Nyquist planes, which carry no weight for a resolved field.
 
-    The support box of the field is zero-padded to the shape of the engine
-    hartree uses and transformed with a plain DFT scaled by the cell
-    volume, which approximates the continuum transform int rho e^{-ip.x} dx
-    at the engine frequencies (up to the phase of the box origin, which
-    cancels in |.|^2).
+    I(k) is the mean over +-k of (1/V_pad) sum_p |A(p)|^2 K(p - k) on the
+    engine's reciprocal grid, A the DFT of the box times the cell volume
+    (the continuum transform up to a phase), so I is even in k and each
+    +-k pair is evaluated once.  It runs on _spectrum's half-grid, where an
+    interior last-axis plane stands for its mirror: at p in the mean, or at
+    +N/2 on a Nyquist row (fftfreq mirrors -N/2 to itself).
     """
-    import scipy.fft as _fft
-
     kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-    if kvecs.shape[1] != 3:
-        raise ValueError("kvecs must be (n, 3)")
+    if kvecs.shape[1] != 3 or not np.all(np.isfinite(kvecs)):
+        raise ValueError("kvecs must be (n, 3) and finite")
     field = _as_field(rho, spec)
-    box, engine = _box_engine(field.values, field.spec)
-    fx, fy, fz = engine.freqs
-    coeffs = _fft.fftn(field.values[box], s=engine.shape, workers=_fft_workers())
+    coeffs, _, engine = _spectrum(field.values, field.spec)
     coeffs *= field.spec.cell_volume
     asq = np.abs(coeffs)
     del coeffs
     asq *= asq
+    (p1, p2, p3), (fx, fy, fz) = engine.shape, engine.freqs
+    fz, inner = fz[: p3 // 2 + 1], slice(1, (p3 + 1) // 2)
+    ii, jj = np.nonzero((2 * np.arange(p1)[:, None] == p1) | (2 * np.arange(p2) == p2))
+    nyquist = asq[ii, jj, inner]
+    asq[..., inner] *= 2.0
+    asq[ii, jj, inner] = nyquist  # their mirrors are counted at +N/2 below
+
+    def kernel(axes, k):
+        return _kernel_values(sum((q - c) ** 2 for q, c in zip(axes, k)), engine.radius)
+
+    def weighted_sum(k):
+        # (2 pi)^{-3} int |A|^2 K dp  ->  (1/V_pad) sum |A|^2 K
+        weighted = kernel((fx[:, None, None], fy[None, :, None], fz), k)
+        weighted *= asq
+        mirrored = kernel((-fx[-ii % p1, None], -fy[-jj % p2, None], fz[inner]), k)
+        return float(np.sum(weighted)) + float(np.sum(nyquist * mirrored))
+
     keys = [max(tuple(k), tuple(-k)) for k in kvecs]
     moments = {}
     for k in keys:
         if k not in moments:
-            psq = ((fx[:, None, None] - k[0]) ** 2
-                   + (fy[None, :, None] - k[1]) ** 2
-                   + (fz[None, None, :] - k[2]) ** 2)
-            # (2 pi)^{-3} int |A|^2 K dp  ->  (1/V_pad) sum |A|^2 K
-            weighted = _kernel_values(psq, engine.radius)
-            weighted *= asq
-            moments[k] = float(np.sum(weighted)) / engine.pad_volume
-    out = np.array([moments[k] for k in keys])
+            moments[k] = 0.5 * (weighted_sum(k) + weighted_sum(tuple(-c for c in k)))
+    out = np.array([moments[k] for k in keys]) / (field.spec.cell_volume * math.prod(engine.shape))
     return out if out.size > 1 else float(out[0])
 
 

@@ -323,9 +323,8 @@ class Density:
     Density.gaussian / compact_bump / smeared_tetra / grid.
 
     Each family validates its parameters and provides default_grid(n),
-    sample(spec), scaled(factor), functionals(theta, p, sampled) and the
-    Coulomb terms hartree(sampled) and kernel_moment(kvecs, n).  Only the
-    grid route reads ``sampled`` (the samples, if already taken).
+    sample(spec), scaled(factor), functionals(theta, p) and the Coulomb
+    terms hartree() and kernel_moment(kvecs, n).
     """
 
     #: the grid a density is tied to; only sampled grid densities have one
@@ -341,15 +340,15 @@ class Density:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
 
-    def hartree(self, sampled=None):
+    def hartree(self):
         """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy.
 
-        The grid route: coulomb.hartree of sampled, or of the density on its
-        default grid.  The analytic families override it.
+        The grid route: coulomb.hartree of the density on its default grid.
+        The analytic families and GridDensity override it.
         """
         from . import coulomb  # lazy: coulomb needs this module's grid types
 
-        return coulomb.hartree(self if sampled is None else sampled)
+        return coulomb.hartree(self)
 
     def kernel_moment(self, kvecs, n=None):
         """coulomb.kernel_moment's I(k) for each row k, on default_grid(n).
@@ -401,7 +400,7 @@ class Gaussian(Density):
     def scaled(self, factor):
         return replace(self, mass=_scale_factor(factor) * self.mass)
 
-    def functionals(self, theta, p, sampled=None):
+    def functionals(self, theta, p):
         sigma, mass = self.sigma, self.mass
         tp = theta * p
         if mass == 0.0:
@@ -428,7 +427,7 @@ class Gaussian(Density):
             p=p,
         )
 
-    def hartree(self, sampled=None):
+    def hartree(self):
         return gaussian_hartree(self.sigma, self.mass)
 
     def kernel_moment(self, kvecs, n=None):
@@ -440,8 +439,8 @@ class Gaussian(Density):
         from scipy.special import dawsn
 
         kvecs = np.atleast_2d(np.asarray(kvecs, dtype=float))
-        if kvecs.shape[1] != 3:
-            raise ValueError("kvecs must be (n, 3)")
+        if kvecs.shape[1] != 3 or not np.all(np.isfinite(kvecs)):
+            raise ValueError("kvecs must be (n, 3) and finite")
         x = self.sigma * np.linalg.norm(kvecs, axis=1)
         ratio = np.ones_like(x)
         nz = x > 0
@@ -481,7 +480,7 @@ class CompactBump(Density):
     def scaled(self, factor):
         return replace(self, mass=_scale_factor(factor) * self.mass)
 
-    def functionals(self, theta, p, sampled=None):
+    def functionals(self, theta, p):
         radius, mass = self.radius, self.mass
         if mass == 0.0:
             return FunctionalSet(0, 0, 0, 0, 0, 0, 0, theta=theta, p=p)
@@ -501,7 +500,7 @@ class CompactBump(Density):
             p=p,
         )
 
-    def hartree(self, sampled=None):
+    def hartree(self):
         return self.mass**2 / self.radius * _bump_unit_hartree()
 
 
@@ -538,10 +537,8 @@ class SmearedTetra(Density):
     def scaled(self, factor):
         return replace(self, rho0=_scale_factor(factor) * self.rho0)
 
-    def functionals(self, theta, p, sampled=None):
-        if sampled is None:
-            sampled = density_to_field(self)
-        return _grid_functionals(sampled, theta, p)
+    def functionals(self, theta, p):
+        return _grid_functionals(density_to_field(self), theta, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,8 +565,13 @@ class GridDensity(Density):
         return GridDensity(ScalarField(self.field.spec,
                                        _scale_factor(factor) * self.field.values))
 
-    def functionals(self, theta, p, sampled=None):
+    def functionals(self, theta, p):
         return _grid_functionals(self.field, theta, p)
+
+    def hartree(self):
+        from . import coulomb
+
+        return coulomb.hartree(self.field)
 
 
 Density.gaussian = Gaussian
@@ -588,16 +590,13 @@ def density_to_field(rho, spec=None):
     return rho.sample(default_grid(rho) if spec is None else spec)
 
 
-def functionals(rho, theta=0.5, p=4.0, sampled=None):
-    """FunctionalSet of a density; analytic families use exact routes.
-
-    sampled: the density's samples, if the caller already took them.
-    """
+def functionals(rho, theta=0.5, p=4.0):
+    """FunctionalSet of a density; analytic families use exact routes."""
     if not (0 < theta < 1):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return rho.functionals(theta, p, sampled)
+    return rho.functionals(theta, p)
 
 
 _SCALE_POWERS = {

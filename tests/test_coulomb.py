@@ -210,6 +210,31 @@ def test_pruned_potential_equals_unpruned_on_the_support(dims, case):
     assert not np.any(values[..., outside])
 
 
+def test_hartree_checks_support_on_the_box(monkeypatch):
+    values = _sparse_values((17, 24, 9), (), [np.s_[3:9, 5:14, 2:7]], seed=3)
+    spec = field.GridSpec((17, 24, 9), (0.11, 0.07, 0.13))
+    seen = []
+    monkeypatch.setattr(coulomb, "_check_support", lambda vals: seen.append(vals.shape))
+    coulomb.hartree(field.ScalarField(spec, values))
+    assert seen == [values[_support_slices(values)].shape] == [(8, 11, 7)]
+
+
+def test_support_check_on_the_box_reports_the_grid_share():
+    # mass on the x = 0 face only; the values are dyadic, so every sum is
+    # exact and the share is 6/18 in any summation order
+    values = np.zeros((16, 16, 16))
+    values[0:2, 5:8, 4:6] = 1.0
+    values[2:4, 5:8, 4:6] = 0.5
+    spec = field.GridSpec((16, 16, 16), (0.1, 0.1, 0.1))
+    share = 6.0 / values.sum()
+    msg = (f"boundary cells hold {share:.3e} of the mass; "
+           "density support must stay inside the grid box")
+    with pytest.raises(field.SupportError) as err:
+        coulomb.hartree(field.ScalarField(spec, values))
+    assert str(err.value) == msg == ("boundary cells hold 3.333e-01 of the mass; "
+                                     "density support must stay inside the grid box")
+
+
 def test_hartree_of_zero_field_is_zero():
     spec = field.GridSpec((12, 10, 9), (0.2, 0.2, 0.2))
     assert coulomb.hartree(field.ScalarField(spec, np.zeros(spec.dims))) == 0.0
@@ -260,6 +285,23 @@ def test_engine_geometry(box_dims):
         assert engine.radius == float(np.linalg.norm(field.GridSpec(dims, spacing).box_lengths))
 
 
+def _moment_reference(fld, box, geometry, kvecs):
+    """I(k) as the mean over +-k of the full complex DFT sum
+    (1/V_pad) sum_p |A(p)|^2 K(p - k), A the cell-volume-scaled fftn of
+    the box values zero-padded to the engine shape."""
+    shape, fx, fy, fz, radius = geometry
+    spec = fld.spec
+    asq = np.abs(scipy.fft.fftn(fld.values[box], s=shape) * spec.cell_volume) ** 2
+    vol_pad = spec.cell_volume * float(np.prod(shape))
+
+    def dft_sum(k):
+        psq = ((fx[:, None, None] - k[0]) ** 2 + (fy[None, :, None] - k[1]) ** 2
+               + (fz[None, None, :] - k[2]) ** 2)
+        return float(np.sum(asq * _truncated_kernel(psq, radius))) / vol_pad
+
+    return np.array([0.5 * (dft_sum(k) + dft_sum(-k)) for k in kvecs])
+
+
 def test_kernel_moment_pairs_match_unpaired_reference():
     rho = field.Density.gaussian(1.0, 1.0)
     spec = field.default_grid(rho, 32)
@@ -267,15 +309,61 @@ def test_kernel_moment_pairs_match_unpaired_reference():
     m = np.array([mm for mm in itertools.product((-1, 0, 1), repeat=3) if any(mm)])
     kvecs = (2.0 * math.pi / 4.0) * m
     got = coulomb.kernel_moment(fld, kvecs)
+    want = _moment_reference(fld, tuple(slice(0, n) for n in spec.dims),
+                             _padded_geometry(spec), kvecs)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    shape, fx, fy, fz, radius = _padded_geometry(spec)
-    asq = np.abs(scipy.fft.fftn(fld.values, s=shape) * spec.cell_volume) ** 2
-    vol_pad = spec.cell_volume * float(np.prod(shape))
-    for k, value in zip(kvecs, got):
-        psq = ((fx[:, None, None] - k[0]) ** 2 + (fy[None, :, None] - k[1]) ** 2
-               + (fz[None, None, :] - k[2]) ** 2)
-        want = float(np.sum(asq * _truncated_kernel(psq, radius))) / vol_pad
-        assert value == pytest.approx(want, rel=1e-14), k
+
+def _smeared_tile_32():
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    return field.density_to_field(rho, field.default_grid(rho, 32))
+
+
+def _sparse_field(dims, case):
+    stack, blocks = SPARSE_CASES[case]
+    spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
+    return lambda: field.ScalarField(spec, _sparse_values(dims, stack, blocks, seed=sum(dims)))
+
+
+# engine shapes (40, 40, 48), (22, 27, 16) and (6, 8, 5): the Nyquist rows
+# of even x and y axes, an odd y axis and an odd last axis
+@pytest.mark.parametrize("make", [_smeared_tile_32, _sparse_field((11, 15, 13), "opposite_faces"),
+                                  _sparse_field((17, 24, 9), "one_node")],
+                         ids=["smeared_tile", "mixed_parity", "odd_last_axis"])
+def test_kernel_moments_are_the_pm_k_mean(make):
+    # The DFT sums at k and -k differ through the Nyquist planes, by up to
+    # 3.2e-5 relative on the smeared tile; I(k) is their mean.
+    fld = make()
+    m = np.array(list(itertools.product(range(-3, 4), repeat=3)), dtype=float)
+    kvecs = (2.0 * math.pi / 4.0) * m
+    # evaluate each +-k pair of the reference once
+    rep = np.array([k for k in kvecs if tuple(k) >= tuple(-k)])
+    want = dict(zip(map(tuple, rep), _moment_reference(fld, *_box_geometry(fld), rep)))
+    want = np.array([want[max(tuple(k), tuple(-k))] for k in kvecs])
+    got = coulomb.kernel_moment(fld, kvecs)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(got, coulomb.kernel_moment(fld, -kvecs))
+
+
+def test_kernel_moment_takes_no_complex_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel_moment called scipy.fft.fftn")
+
+    monkeypatch.setattr(scipy.fft, "fftn", refuse)
+    rho = field.Density.gaussian(1.0, 1.0)
+    spec = field.default_grid(rho, 16)
+    mom = coulomb.kernel_moment(rho, np.zeros(3), spec)
+    assert 2.0 * math.pi * mom == pytest.approx(coulomb.hartree(rho, spec), rel=1e-10)
+
+
+@pytest.mark.parametrize("kvec", [(math.nan, 0.0, 0.0), (0.0, math.inf, 1.0)])
+@pytest.mark.parametrize("route", ["closed_form", "grid"])
+def test_kernel_moment_rejects_non_finite_wave_vectors(kvec, route):
+    rho = field.Density.gaussian(1.0, 1.0)
+    if route == "grid":
+        rho = field.Density.grid(field.density_to_field(rho, field.default_grid(rho, 16)))
+    with pytest.raises(ValueError, match="finite"):
+        rho.kernel_moment([kvec, (1.0, 0.0, 0.0)])
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
@@ -409,7 +497,7 @@ def smeared_tile():
 
 def test_smeared_tile_hartree_is_alias_free(smeared_tile):
     fld = smeared_tile
-    box, engine = coulomb._box_engine(fld.values, fld.spec)
+    _, box, engine = coulomb._spectrum(fld.values, fld.spec)
     assert all(p < 2 * n for p, n in zip(engine.shape, fld.spec.dims))
     got = coulomb.hartree(fld)
     # twice the zero padding and 1.3 times the radius: alias-free by a wide
