@@ -292,7 +292,8 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     Every shifted field is therefore a(tau) . r over the real basis
     r = (Re u_m, Im u_m), and D of it is a^T G a with
     G_jk = (1/2) V sum_x r_j (K * r_k): one convolution per basis field.
-    Each shifted field still passes the support check.
+    rho and each shifted field are support-checked on the basis box, which
+    holds every node where rho != 0 (|Re u_m| or |Im u_m| is >= rho/sqrt 2).
     """
     if n_tau < 8:
         raise ValueError(f"need at least 8 Gauss nodes per axis, got {n_tau}")
@@ -300,14 +301,6 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
         raise ValueError(f"ell must be positive, got {ell}")
     modes = _validate_mode_coeffs(f_coeffs)
     field = _as_field(rho, spec)
-    _check_support(field.values)
-
-    mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
-                 if c != 0.0]
-    kvecs = np.array([(_TWO_PI / ell) * m for m, _ in mode_list])
-    moments = np.atleast_1d(kernel_moment(field, kvecs))
-    rhs = _TWO_PI * float(
-        sum(abs(c) ** 2 * mom for (_, c), mom in zip(mode_list, moments)))
 
     nodes, weights = np.polynomial.legendre.leggauss(n_tau)
     tau_ax = 0.5 * ell * (nodes + 1.0)
@@ -330,17 +323,22 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
         basis += [u.real, u.imag]
         coeffs += [a.real, -a.imag]
     basis = np.stack(basis)
-    flat = basis.reshape(len(basis), -1)
     coeffs = np.stack(coeffs, axis=1)  # (nodes, basis fields)
 
-    step = max(1, _CHECK_BLOCK // flat.shape[1])
-    for lo in range(0, len(coeffs), step):
-        _check_support((coeffs[lo:lo + step] @ flat).reshape(-1, *field.spec.dims))
-
     pots, box = _potential(basis, field.spec)
+    _check_support(field.values[box])
     box_flat = basis[(...,) + box].reshape(len(basis), -1)
+    step = max(1, _CHECK_BLOCK // box_flat.shape[1])
+    for lo in range(0, len(coeffs), step):
+        _check_support((coeffs[lo:lo + step] @ box_flat).reshape(-1, *pots.shape[1:]))
     gram = 0.5 * field.spec.cell_volume * (box_flat @ pots.reshape(len(basis), -1).T)
     lhs = float(np.sum(w_tau * np.sum((coeffs @ gram) * coeffs, axis=1)))
+    mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
+                 if c != 0.0]
+    kvecs = np.array([(_TWO_PI / ell) * m for m, _ in mode_list])
+    moments = np.atleast_1d(kernel_moment(field, kvecs))
+    rhs = _TWO_PI * float(
+        sum(abs(c) ** 2 * mom for (_, c), mom in zip(mode_list, moments)))
     return lhs, rhs
 
 

@@ -282,11 +282,9 @@ def _grid_functionals(field, theta, p):
     margin let np.gradient see the same zeros at the box edge as on the
     whole grid, and each integrand is summed over the whole grid, so the
     4096-node chunks of _compensated_total and every value are those of a
-    whole-grid evaluation.
+    whole-grid evaluation.  Callers pass samples >= 0 (GridDensity or a tile).
     """
     rho = field.values
-    if np.any(rho < 0):
-        raise ValueError("density must be nonnegative")
     vol = field.spec.cell_volume
     box = _support_box(rho, pad=2)
     sub = rho[box]
@@ -532,7 +530,8 @@ class SmearedTetra(Density):
 
         cfg = tiling.TilingConfig(self.ell, self.delta)
         xi = tiling.sample_field(cfg, 1, spec, kind="xi")
-        return ScalarField(spec, np.clip(self.rho0 * xi.values, 0.0, None))
+        xi.values *= self.rho0  # xi lies in [0, 1] and rho0 >= 0
+        return xi
 
     def scaled(self, factor):
         return replace(self, rho0=_scale_factor(factor) * self.rho0)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import KAPPA_1, KAPPA_2, _tf_coefficient
+from .bounds import KAPPA_1, KAPPA_2, _bisect, _tf_coefficient
+
+_GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)  # exact to degree 11
 
 
 class SolverError(RuntimeError):
@@ -116,27 +118,36 @@ def _minv_closed(eps, a):
     )
 
 
+def _minv_excess(b, eps):
+    return _minv_closed(eps, 1.0 - eps * b) - 1.0
+
+
+def _m2d_exact(eps, a):
+    # int eta t^{2/3}: t = s^3 makes each lobe 3c int (s^3 - a)^2 s^4 ds (or
+    # its mirror), degree 10.  No difference cancels: s - r0 is the node offset,
+    # s^3 - r0^3 = (s - r0)(s^2 + s r0 + r0^2), so r1 - r0 = eps/(r1^2 + r1 r0 + r0^2).
+    r0, r1, r2 = np.cbrt([a, a + eps, a + 2.0 * eps])
+    h1, h2 = eps / (r1 * r1 + r1 * r0 + r0 * r0), eps / (r2 * r2 + r2 * r1 + r1 * r1)
+    d1, d2 = 0.5 * h1 * (1.0 + _GL6_X), 0.5 * h2 * (1.0 - _GL6_X)  # s - r0, r2 - s
+    s1, s2 = r0 + d1, r2 - d2
+    f1 = (d1 * (s1 * s1 + s1 * r0 + r0 * r0)) ** 2 * s1**4
+    f2 = (d2 * (r2 * r2 + r2 * s2 + s2 * s2)) ** 2 * s2**4
+    return float(2.25 / eps**3 * (h1 * (f1 @ _GL6_W) + h2 * (f2 @ _GL6_W)))
+
+
 def moments(env):
-    """Moment integrals: m0, minv, fisher, fisher0 closed form; m2d by quad.
+    """Moment integrals, each closed form or exact (m2d, see _m2d_exact).
 
     m2d = int t^{2/3} eta, the 2/d power moment in d = 3.
     fisher = int t^2 eta'^2/eta, fisher0 = int eta'^2/eta.  On the parabolic
     lobes eta'^2/eta = 4c identically, so fisher0 = 8c*eps = 12/eps^2 and
     fisher = 4c ((a + 2 eps)^3 - a^3)/3 = 12 (a^2 + 2 a eps + 4 eps^2/3)/eps^2.
     """
-    from scipy import integrate as _sciint
-
     a, eps = env.a, env.eps
-    mid, top = a + eps, a + 2.0 * eps
-    m2d = 0.0
-    for lo, hi in ((a, mid), (mid, top)):
-        v, _ = _sciint.quad(lambda t: env.value(t) * t ** (2.0 / 3), lo, hi,
-                            epsabs=1e-13, epsrel=1e-11)
-        m2d += v
     return Moments(
         m0=1.0,
         minv=_minv_closed(eps, a),
-        m2d=m2d,
+        m2d=_m2d_exact(eps, a),
         fisher=12.0 * (a * a + 2.0 * a * eps + 4.0 * eps**2 / 3.0) / eps**2,
         fisher0=12.0 / eps**2,
     )
@@ -145,29 +156,23 @@ def moments(env):
 def solve_b(eps):
     """The shift b making the inverse moment exactly 1.
 
-    Root-found on b in [0, 1.5] to |minv - 1| <= 1e-12.  For small eps,
+    Bisected on b in [0, 1.5] to float resolution.  For small eps,
 
         b = 1 - eps/10 - 3 eps^3/350 - 37 eps^5/21000 + O(eps^7).
 
     Only odd powers appear: about its centre mu = 1 + eps (1 - b) the
     envelope is a symmetric weight, so mu is a series in eps^2.
     """
-    from scipy import optimize as _sciopt
-
     if not (0 < eps <= 0.5):
         raise ValueError(f"need 0 < eps <= 0.5, got {eps}")
-
-    def constraint(b):
-        return _minv_closed(eps, 1.0 - eps * b) - 1.0
-
-    f_lo, f_hi = constraint(0.0), constraint(1.5)
+    f_lo, f_hi = _minv_excess(0.0, eps), _minv_excess(1.5, eps)
     if f_lo * f_hi > 0:
         raise SolverError(
             f"no sign change on b in [0, 1.5] at eps={eps}: "
             f"({f_lo:.3e}, {f_hi:.3e})")
-    b = _sciopt.brentq(constraint, 0.0, 1.5, xtol=1e-15, rtol=8.9e-16)
-    assert abs(constraint(b)) <= 1e-12
-    return float(b)
+    b = _bisect(_minv_excess, eps, 0.0, 1.5, 4.4e-16)
+    assert abs(_minv_excess(b, eps)) <= 1e-12
+    return b
 
 
 def remark_b(eps):

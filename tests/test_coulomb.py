@@ -466,6 +466,21 @@ def test_periodic_identity_on_a_support_box():
     assert lhs == pytest.approx(rhs, rel=1e-2)
 
 
+def test_periodic_identity_checks_support_on_the_box(monkeypatch):
+    # rho and its 8^3 shifted fields (one +-m pair: two basis fields) are
+    # checked on the pad-1 support box, never on the whole 20^3 grid
+    rho = field.Density.compact_bump(1.0, 1.3)
+    spec = field.GridSpec((20, 20, 20), (4.0 / 19,) * 3, (-2.0, -2.0, -2.0))
+    box = _support_slices(field.density_to_field(rho, spec).values)
+    dims = tuple(s.stop - s.start for s in box)
+    seen = []
+    monkeypatch.setattr(coulomb, "_check_support", lambda vals: seen.append(vals.shape))
+    coulomb.periodic_localization_identity(
+        rho, {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j}, ell=8.0, spec=spec)
+    assert dims != spec.dims
+    assert seen == [dims, (8**3, *dims)]
+
+
 def _overpadded_hartree(fld, shape, radius):
     """D by Parseval, (V/2N) sum_p |rhohat(p)|^2 K(p), with the support box
     zero-padded to shape and the kernel truncated at radius.  The sum runs

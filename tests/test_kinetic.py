@@ -1,10 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ldacert
 from ldacert import field, kinetic
 
 
@@ -51,6 +56,12 @@ def test_solve_b_inverse_moment():
         assert minv == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         kinetic.solve_b(0.6)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01, 1e-4])
+def test_solve_b_pins_the_inverse_moment_at_roundoff(eps):
+    b = kinetic.solve_b(eps)
+    assert abs(kinetic._minv_closed(eps, 1.0 - eps * b) - 1.0) <= 2e-15
 
 
 def test_solve_b_series():
@@ -115,6 +126,60 @@ def test_fisher_closed_form_matches_quad(eps):
     for b in shifts:
         env = kinetic.eta_shifted(eps, b)
         assert kinetic.moments(env).fisher == pytest.approx(_quad_fisher(env), rel=1e-12)
+
+
+def _m2d_reference(env):
+    """int t^{2/3} eta at 40 digits, at the envelope's own float a and eps.
+
+    The lobes are c (t - a)^2 and c (top - t)^2, top = a + 2 eps, and
+    P(k, t) = 3/11 t^{11/3} - 3/4 k t^{8/3} + 3/5 k^2 t^{5/3} is an
+    antiderivative of (t - k)^2 t^{2/3}.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, eps = mp.mpf(env.a), mp.mpf(env.eps)
+        mid, top = a + eps, a + 2 * eps
+
+        def P(k, t):
+            return 3 * mp.cbrt(t) ** 5 * (t * t / 11 - k * t / 4 + k * k / 5)
+
+        return 3 / (2 * eps**3) * (P(a, mid) - P(a, a) + P(top, top) - P(top, mid))
+
+
+@pytest.mark.parametrize("eps", [0.999999, 0.999, 0.9, 0.5, 0.1, 0.01, 1e-3, 1e-4])
+def test_m2d_matches_mpmath(eps):
+    # the two-lobe quad moments() used before was up to 3.6e-12 off at eps = 1e-4
+    shifts = [0.0, kinetic.remark_b(eps)] + ([kinetic.solve_b(eps)] if eps <= 0.5 else [])
+    envs = [kinetic.eta_shifted(eps, b) for b in shifts]
+    if eps == 0.9:
+        envs.append(kinetic.eta_shifted(0.9, 1.1))  # a = 0.01
+    for env in envs:
+        want = _m2d_reference(env)
+        assert abs(kinetic.moments(env).m2d - want) <= 1e-14 * want, (env.eps, env.b)
+
+
+_SCIPY_PROBE = """
+import sys
+from ldacert import bounds, field, kinetic
+F = field.FunctionalSet(mass=1.0, l2=0.1, l43=0.8, l53=0.7, kin=0.75, tv=1.2,
+                        thg=3.0, theta=0.5, p=4.0)
+b = kinetic.solve_b(0.1)
+kinetic.moments(kinetic.eta_shifted(0.1, b))
+kinetic.kinetic_band(F)
+bounds.energy_upper_min(F)
+print(" ".join(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_kinetic_loads_no_scipy():
+    # one bisection and closed or exact moments: no root finder or
+    # quadrature from scipy behind solve_b, moments or the ceilings
+    env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _scan_band(F, q):
