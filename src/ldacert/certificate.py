@@ -339,14 +339,12 @@ def tetra_band(rho0, ell, delta, alpha, C=1.0):
     return upper, avg_lower, pointwise
 
 
-def _flatness_grid(verts, delta, n):
-    # midpoint grid over the delta-fattened tile's bounding box
+def _flatness_grid(verts, delta):
+    # midpoint grid over the delta-fattened tile's box, ~2.6 cells per delta/10
     lo = verts.min(axis=0) - 1.02 * delta
     hi = verts.max(axis=0) + 1.02 * delta
     ext = hi - lo
-    if n is None:
-        h_target = delta / 26.0  # ~2.6 cells per smear radius delta/10
-        n = int(np.clip(math.ceil(ext.max() / h_target), 48, 256))
+    n = int(np.clip(math.ceil(ext.max() / (delta / 26.0)), 48, 256))
     counts = np.maximum((n * ext / ext.max()).astype(int), 16)
     spacing = ext / counts
     origin = lo + 0.5 * spacing  # cell centers
@@ -354,13 +352,17 @@ def _flatness_grid(verts, delta, n):
                           tuple(origin))
 
 
-def flatness_error(rho, eps, params, ell, delta, n=None):
+def flatness_error(rho, eps, params, ell, delta):
     """Every term of the constant-replacement displays on one tile.
 
     The density restricted to the smeared tile w = (tile indicator)*(bump)
     is compared against the constant rho_min (upper display) or rho_max
     (lower display); returned are two maps of the right-hand-side terms,
     each including the reference constant under "rho_ref".
+
+    Both sets come from the Euclidean distance to the tile (a convolution
+    carries roundoff where it is 0): w's support (rho_min, rho_max, weight
+    gradient) is dist < delta/10, the fattened tile (theta) dist < delta.
     """
     _require_params(params)
     if not 0.0 < eps <= 0.5:
@@ -370,7 +372,7 @@ def flatness_error(rho, eps, params, ell, delta, n=None):
     # density family is built on, so rho = rho0 * w holds exactly there
     verts = cfg.ell * tiling.unit_cube_tetrahedra()[0].vertices
 
-    spec = rho.own_grid or _flatness_grid(verts, delta, n)
+    spec = rho.own_grid or _flatness_grid(verts, delta)
     rho_f = field.density_to_field(rho, spec)
     X, Y, Z = spec.meshgrid()
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
@@ -378,11 +380,12 @@ def flatness_error(rho, eps, params, ell, delta, n=None):
     w, gw = tiling.xi_grad_values(cfg, 1, pts)
     w = w.reshape(spec.dims)
     gw2 = np.einsum("ij,ij->i", gw, gw).reshape(spec.dims)
-    fat = (tiling.convolved_indicator(verts, delta, pts) > 0.0).reshape(spec.dims)
+    dist = tiling._tile_distance(verts, pts).reshape(spec.dims)
+    fat = dist < delta
 
     cell = spec.cell_volume
     rv = rho_f.values
-    support = w > 0.0
+    support = dist < cfg.smear_radius
     if not support.any():
         raise ValueError("tile support does not meet the sampling grid")
     rho_min = float(rv[support].min())
@@ -392,7 +395,7 @@ def flatness_error(rho, eps, params, ell, delta, n=None):
     bulk_up = C * eps * cell * float(((rv + rv**2) * w).sum())
 
     wg = np.zeros_like(rv)
-    mask = w > 1e-150
+    mask = support & (w > 1e-150)
     wg[mask] = rv[mask] * gw2[mask] / (4.0 * w[mask])
     weight_gradient = C * cell * float(wg.sum())
 

@@ -345,9 +345,11 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
 # ---------------------------------------------------------------------------
 # annulus convolution
 
-def _annulus_bounds(alpha):
+def _annulus_bounds(r, alpha):
     if not 0.0 < alpha <= 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
+    if not r >= 0.0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
     return 1.0 / (1.0 + alpha), 1.0 / (1.0 - alpha)
 
 
@@ -399,9 +401,7 @@ def annulus_conv(r, alpha):
     Radial reduction: 2 pi r * int s log((s+1)/|s-1|) ds over
     [1/(r(1+a)), 1/(r(1-a))], split at the singular shell s = 1.
     """
-    lo_r, hi_r = _annulus_bounds(alpha)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
+    lo_r, hi_r = _annulus_bounds(r, alpha)
     if r == 0.0:
         return 8.0 * math.pi * alpha / (1.0 - alpha**2)
     p, q = lo_r / r, hi_r / r
@@ -416,7 +416,7 @@ def annulus_conv_exact(r, alpha):
     """Closed antiderivative route: G(s) = ((s^2-1)/2) log((s+1)/|s-1|) + s
     (continuous across s = 1).  Kept as an independent cross-check of the
     quadrature path."""
-    lo_r, hi_r = _annulus_bounds(alpha)
+    lo_r, hi_r = _annulus_bounds(r, alpha)
     if r == 0.0:
         return 8.0 * math.pi * alpha / (1.0 - alpha**2)
 

@@ -468,6 +468,24 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     return u
 
 
+def _tile_distance(vertices, pts):
+    """Euclidean distance from each point of an (n, 3) array to the tetrahedron:
+    0 inside, |h_f| where the foot point lies in face f, else the nearest edge."""
+    normals, offsets, ea, eb, edge_u, edge_m = _face_frames(_vertex_key(vertices))
+    h = pts @ normals.T - offsets
+    dist = np.where(np.all(h <= 0.0, axis=1), 0.0, np.inf)
+    for f in range(4):
+        in_face = np.ones(len(pts), dtype=bool)
+        for k in range(3):
+            rel_a = ea[f, k] - pts
+            e = rel_a @ edge_m[f, k]  # >= 0 on the face's side of the edge line
+            t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (pts - eb[f, k]) @ edge_u[f, k]), 0.0)
+            dist = np.minimum(dist, np.sqrt(h[:, f] ** 2 + e * e + t * t))
+            in_face &= e >= 0.0
+        dist[in_face] = np.minimum(dist[in_face], np.abs(h[in_face, f]))
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # the smooth cutoffs chi and xi
 
@@ -535,9 +553,9 @@ def chi_mass(cfg, j, n=None):
     return cell * float(np.sum(chi_values(cfg, j, pts)))
 
 
-def sqrt_chi_grad_norm(cfg, j, n=None):
+def sqrt_chi_grad_norm(cfg, j):
     """Dirichlet integral of sqrt(chi_j), i.e. int |grad sqrt(chi_j)|^2."""
-    pts, cell = _support_box_grid(cfg, j, n)
+    pts, cell = _support_box_grid(cfg, j, None)
     u, g = convolved_indicator(
         _tile_vertices(cfg, j, True), cfg.smear_radius, pts, want_grad=True
     )
@@ -550,27 +568,20 @@ def sqrt_chi_grad_norm(cfg, j, n=None):
 # partition of unity after translation averaging
 
 
-_LATTICE_OFFSETS = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
-
-
-def _lattice_tile_sum(cfg, pts):
-    """Sum over all lattice translates and tiles of chi at pts."""
-    ell = cfg.ell
-    base = np.round(pts / ell)
-    acc = np.zeros(len(pts))
-    for off in _LATTICE_OFFSETS:
-        shifted = pts - ell * (base + off[None, :])
-        for j in range(1, 25):
-            acc += chi_values(cfg, j, shifted)
-    return acc
-
-
 def partition_residual(cfg, n_tau, sample_points):
     """Worst deviation from 1 of the translation-averaged chi partition.
 
     Averages sum_{z,j} chi_j(x - ell z - tau) over tau in the ell-cube with
     a midpoint rule of n_tau points per axis, and returns the maximum of
     |average - 1| over the sample points.
+
+    Each shifted point y counts the 24 tiles of its own cell only, at
+    y - ell round(y/ell).  This is exact while eps > ~1e-11: the shrunk tile
+    keeps eps ell/8 from the cell faces and the smear radius is eps ell/10,
+    so the box outside which convolved_indicator returns exactly 0.0 (largest
+    |coordinate| (ell/2)(1 - (3 - 2 sqrt 2) eps/10), plus its 1e-13 rounding
+    margin) lies inside the open cell.  Every other cell would add 0.0, so
+    the sums are the 27-cell sums bit for bit.
     """
     if n_tau < 8:
         raise ValueError(f"need at least 8 translation nodes per axis, got {n_tau}")
@@ -579,7 +590,8 @@ def partition_residual(cfg, n_tau, sample_points):
     axis = (np.arange(n_tau) + 0.5) * (ell / n_tau)
     tau = np.array(list(itertools.product(axis, repeat=3)))
     shifted = (pts[:, None, :] - tau[None, :, :]).reshape(-1, 3)
-    sums = _lattice_tile_sum(cfg, shifted)
+    shifted -= ell * np.round(shifted / ell)
+    sums = sum(chi_values(cfg, j, shifted) for j in range(1, 25))
     averages = sums.reshape(len(pts), -1).mean(axis=1)
     return float(np.max(np.abs(averages - 1.0)))
 

@@ -263,6 +263,37 @@ def test_flatness_error_constant_density():
         certificate.flatness_error(rho, 0.6, QUANTUM, 4.0, 0.8)
 
 
+def _flatness_density(pad, inside, outside):
+    """A 59^3 grid density: inside(x) on tile 1's box (ell 4) widened by pad,
+    outside(x) elsewhere."""
+    spec = field.GridSpec((59, 59, 59), (0.1, 0.1, 0.1), (-2.9, -2.9, -2.9))
+    verts = 4.0 * tiling.unit_cube_tetrahedra()[0].vertices
+    lo, hi = verts.min(axis=0) - pad - 1e-9, verts.max(axis=0) + pad + 1e-9
+    X, Y, Z = spec.meshgrid()
+    nodes = np.stack([X, Y, Z], axis=-1)
+    box = np.all((nodes >= lo) & (nodes <= hi), axis=-1)
+    return field.Density.grid(field.ScalarField(spec, np.where(box, inside(X), outside(X))))
+
+
+def test_flatness_error_takes_rho_min_on_the_tile_support():
+    """The smeared tile lives within delta/10 of the tile, so a density that
+    is 0.7 on that box has rho_min = 0.7, whatever it is outside."""
+    rho = _flatness_density(0.08, lambda x: np.full(x.shape, 0.7),
+                            lambda x: np.full(x.shape, 0.1))
+    upper, lower = certificate.flatness_error(rho, 0.25, QUANTUM, 4.0, 0.8)
+    assert upper["rho_ref"] == 0.7
+    assert lower["rho_ref"] == 0.7
+
+
+def test_flatness_error_sums_theta_on_the_delta_neighbourhood():
+    """The fattened tile is the delta-neighbourhood of the tile: a density
+    flat there and one node beyond has no theta-gradient term."""
+    rho = _flatness_density(0.8 + 0.1, lambda x: np.full(x.shape, 0.7),
+                            lambda x: 0.7 + 0.1 * np.sin(x))
+    upper, lower = certificate.flatness_error(rho, 0.25, QUANTUM, 4.0, 0.8)
+    assert upper["theta"] == 0.0 and lower["theta"] == 0.0
+
+
 def test_subadditivity_gap_formula():
     F1 = unit_set()
     F2 = unit_set(mass=0.1, l2=0.1, l43=0.1, l53=0.1, kin=0.1, tv=0.1, thg=0.1)

@@ -385,6 +385,10 @@ def test_annulus_gates():
         coulomb.annulus_conv(1.0, 0.6)
     with pytest.raises(ValueError):
         coulomb.annulus_conv(-0.5, 0.25)
+    with pytest.raises(ValueError, match="nonnegative"):
+        coulomb.annulus_conv_exact(-5.0, 0.25)
+    with pytest.raises(ValueError, match="nonnegative"):
+        coulomb.annulus_sup(0.25, np.arange(-1.0, 8.005, 0.01))
 
 
 def test_annulus_sup_grid_contract():

@@ -323,6 +323,70 @@ def test_partition_residual_gate():
         tiling.partition_residual(cfg, 4, np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("j", [1, 10, 24])
+def test_tile_distance_of_face_edge_and_vertex_points(j):
+    """Points pushed out by t along a face normal, along the bisector of an
+    edge's two face normals, or along the sum of a vertex's three face
+    normals lie at distance t; inside points at distance 0."""
+    verts = 4.0 * tiling.unit_cube_tetrahedra()[j - 1].vertices
+    normals = []
+    for i in range(4):
+        a, b, c = (verts[k] for k in range(4) if k != i)
+        n = np.cross(b - a, c - a)
+        normals.append(n * np.sign(np.dot(n, a - verts[i])) / np.linalg.norm(n))
+    normals = np.array(normals)  # outward normal of the face opposite vertex i
+    pts, want = [], []
+    for t in (1e-3, 0.3, 2.0):
+        for i in range(4):
+            pts.append(np.delete(verts, i, axis=0).mean(axis=0) + t * normals[i])
+            d = np.delete(normals, i, axis=0).sum(axis=0)
+            pts.append(verts[i] + t * d / np.linalg.norm(d))
+            want += [t, t]
+        for a, b in itertools.combinations(range(4), 2):
+            d = np.delete(normals, [a, b], axis=0).sum(axis=0)
+            pts.append(0.5 * (verts[a] + verts[b]) + t * d / np.linalg.norm(d))
+            want.append(t)
+    inner = verts.mean(axis=0) + 0.9 * (verts - verts.mean(axis=0))
+    got = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]))
+    np.testing.assert_allclose(got[:-4], want, rtol=1e-12)
+    assert np.all(got[-4:] == 0.0)
+
+
+def _chi_sum_27_cells(cfg, pts):
+    """Sum of chi_j over the 24 tiles of the 27 lattice cells around each
+    point's own cell, cells outer and tiles inner."""
+    base = np.round(pts / cfg.ell)
+    acc = np.zeros(len(pts))
+    for off in itertools.product((-1.0, 0.0, 1.0), repeat=3):
+        for j in range(1, 25):
+            acc += tiling.chi_values(cfg, j, pts - cfg.ell * (base + np.array(off)))
+    return acc
+
+
+@pytest.mark.parametrize("ell,delta", [(4.0, 1.0), (4.0, 0.5), (2.0, 0.999), (1.0, 0.4999),
+                                       (3.0, 0.03), (7.5, 3.7), (4.0, 4e-6)])
+def test_partition_sum_is_the_own_cell_sum(ell, delta):
+    """The 24 tiles of a point's own cell give the 27-cell chi sum bit for
+    bit, at random points and on (or jittered about) cell faces, edges and
+    corners; partition_residual keeps the 27-cell value."""
+    cfg = tiling.TilingConfig(ell, delta)
+    rng = np.random.default_rng(19)
+    half = 0.5 * ell
+    lattice = half * rng.integers(-3, 4, size=(60, 3))  # faces, edges, corners
+    pts = np.concatenate([rng.uniform(-1.5 * ell, 1.5 * ell, size=(60, 3)), lattice,
+                          lattice + rng.normal(scale=1e-9 * ell, size=lattice.shape),
+                          lattice + rng.uniform(-0.05, 0.05, size=lattice.shape) * delta])
+    local = pts - ell * np.round(pts / ell)
+    own = sum(tiling.chi_values(cfg, j, local) for j in range(1, 25))
+    assert np.array_equal(own, _chi_sum_27_cells(cfg, pts))
+
+    x = rng.uniform(-ell, ell, size=(1, 3))
+    axis = (np.arange(8) + 0.5) * (ell / 8)
+    shifted = x - np.array(list(itertools.product(axis, repeat=3)))
+    want = float(np.max(np.abs(_chi_sum_27_cells(cfg, shifted).mean() - 1.0)))
+    assert tiling.partition_residual(cfg, 8, x) == want
+
+
 def test_direct_error_gates_and_zero():
     cfg = tiling.TilingConfig(4.0, 0.4)
     zero = field.Density.gaussian(1.0, 0.0)
