@@ -380,7 +380,7 @@ def flatness_error(rho, eps, params, ell, delta):
     w, gw = tiling.xi_grad_values(cfg, 1, pts)
     w = w.reshape(spec.dims)
     gw2 = np.einsum("ij,ij->i", gw, gw).reshape(spec.dims)
-    dist = tiling._tile_distance(verts, pts).reshape(spec.dims)
+    dist = tiling._tile_distance(verts, pts, delta).reshape(spec.dims)
     fat = dist < delta
 
     cell = spec.cell_volume

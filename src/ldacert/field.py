@@ -236,7 +236,8 @@ def _tail_interpolant(values, slopes):
     def interpolant(x):
         i = (np.minimum(x, 1.0) * cells).astype(int)
         t = x * cells - i
-        c0, c1, c2, c3 = coef[:, i]
+        # one np.take per contiguous coefficient row beats a 2-d fancy index
+        c0, c1, c2, c3 = (np.take(row, i) for row in coef)
         return c0 + t * (c1 + t * (c2 + t * c3))
 
     return interpolant

@@ -331,14 +331,9 @@ def _solid_angle_sum(face_corners, pts):
     return total
 
 
-def _edge_coords(pts, ea, eb, edge_u, edge_m):
-    # signed in-plane distance to each edge line and endpoint abscissas
-    rel_a = ea[None, :, :, :] - pts[:, None, None, :]
-    rel_b = eb[None, :, :, :] - pts[:, None, None, :]
-    e = np.einsum("nfes,fes->nfe", rel_a, edge_m)
-    ta = np.einsum("nfes,fes->nfe", rel_a, edge_u)
-    tb = np.einsum("nfes,fes->nfe", rel_b, edge_u)
-    return e, ta, tb
+def _edge_distances(pts, ea, edge_m):
+    # signed in-plane distance to each of the 12 face edge lines, (n, 4, 3)
+    return np.einsum("nfes,fes->nfe", ea[None, :, :, :] - pts[:, None, None, :], edge_m)
 
 
 def convolved_indicator(vertices, rs, points, want_grad=False):
@@ -356,7 +351,9 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     (returned when want_grad is set) replaces Q_c by the profile K_g and
     carries a factor -n_f.  u and its gradient vanish outside
     T' = {h_f < rs for every f}, so points outside the box of T' are set
-    to 0 before any face product is taken.
+    to 0 before any face product is taken.  A face with |h_f| >= rs adds
+    an exact 0 (Q_c, K_g and its edge integrals vanish there), so each
+    face's terms are computed only on the points within rs of its plane.
 
     Conditioning: the split is exact, but the pieces grow like 1/dist
     near the vertices and edge lines of T, so the absolute error there
@@ -393,7 +390,8 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     rows = rows[active]
     p = pts[rows]
     h = h_all[active]
-    e, ta, tb = _edge_coords(p, ea, eb, edge_u, edge_m)
+    # a nudge moves all of a point's values, so e is needed on every edge
+    e = _edge_distances(p, ea, edge_m)
 
     degenerate = (np.abs(h) < tol).any(axis=1) | (np.abs(e) < tol).any(axis=(1, 2))
     if np.any(degenerate):
@@ -401,10 +399,7 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
         # clears tol (worst projection of the nudge direction is ~0.13)
         p[degenerate] += (3e-12 * scale) * _NUDGE_DIR
         h[degenerate] = p[degenerate] @ normals.T - offsets
-        ed, tad, tbd = _edge_coords(p[degenerate], ea, eb, edge_u, edge_m)
-        e[degenerate] = ed
-        ta[degenerate] = tad
-        tb[degenerate] = tbd
+        e[degenerate] = _edge_distances(p[degenerate], ea, edge_m)
 
     omega = _solid_angle_sum(ea, p)
     corr = np.zeros(len(p))
@@ -412,26 +407,34 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     rs2 = rs * rs
 
     for f in range(4):
-        hf = h[:, f]
+        # Q_c, K_g and every edge integral vanish from |h_f| = rs on, so
+        # face f adds an exact 0 to the rows it leaves out
+        near = np.flatnonzero(np.abs(h[:, f]) < rs)
+        if not len(near):
+            continue
+        q = p[near]
+        hf = h[near, f]
         habs = np.abs(hf)
+        ta = np.einsum("nes,es->ne", ea[f] - q[:, None, :], edge_u[f])
+        tb = np.einsum("nes,es->ne", eb[f] - q[:, None, :], edge_u[f])
         qh = _qc_profile(habs, rs)
         kh = _kg_profile(habs, rs) if want_grad else None
-        theta = np.zeros(len(p))
-        esum = np.zeros(len(p))
-        gsum = np.zeros(len(p)) if want_grad else None
+        theta = np.zeros(len(q))
+        esum = np.zeros(len(q))
+        gsum = np.zeros(len(q)) if want_grad else None
         for k in range(3):
-            ef = e[:, f, k]
+            ef = e[near, f, k]
             se = np.sign(ef)
             eabs = np.abs(ef)
-            theta += se * (np.arctan2(tb[:, f, k], eabs) - np.arctan2(ta[:, f, k], eabs))
+            theta += se * (np.arctan2(tb[:, k], eabs) - np.arctan2(ta[:, k], eabs))
             b2 = hf * hf + ef * ef
-            m = (habs < rs) & (b2 < rs2) & (se != 0.0)
+            m = (b2 < rs2) & (se != 0.0)
             if not np.any(m):
                 continue
             idx = np.nonzero(m)[0]
             tc = np.sqrt(rs2 - b2[idx])
-            lo = np.maximum(ta[idx, f, k], -tc)
-            hi = np.minimum(tb[idx, f, k], tc)
+            lo = np.maximum(ta[idx, k], -tc)
+            hi = np.minimum(tb[idx, k], tc)
             keep = hi > lo
             if not np.any(keep):
                 continue
@@ -457,9 +460,9 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
             esum[idx] += se[idx] * acc_q
             if want_grad:
                 gsum[idx] += se[idx] * acc_g
-        corr += hf * (qh * theta - esum)
+        corr[near] += hf * (qh * theta - esum)
         if want_grad:
-            gvec -= (kh * theta - gsum)[:, None] * normals[f][None, :]
+            gvec[near] -= (kh * theta - gsum)[:, None] * normals[f][None, :]
 
     u[rows] = np.clip(omega / (4.0 * math.pi) + corr, 0.0, 1.0)
     if want_grad:
@@ -468,21 +471,28 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     return u
 
 
-def _tile_distance(vertices, pts):
+def _tile_distance(vertices, pts, cutoff):
     """Euclidean distance from each point of an (n, 3) array to the tetrahedron:
-    0 inside, |h_f| where the foot point lies in face f, else the nearest edge."""
+    0 inside, |h_f| where the foot point lies in face f, else the nearest edge.
+
+    Only points with every h_f < cutoff get their distance; the others read
+    inf.  h_f <= dist, so each of them lies at cutoff or more.
+    """
     normals, offsets, ea, eb, edge_u, edge_m = _face_frames(_vertex_key(vertices))
     h = pts @ normals.T - offsets
     dist = np.where(np.all(h <= 0.0, axis=1), 0.0, np.inf)
+    near = np.flatnonzero(np.all(h < cutoff, axis=1))
+    q, hq, dq = pts[near], h[near], dist[near]
     for f in range(4):
-        in_face = np.ones(len(pts), dtype=bool)
+        in_face = np.ones(len(q), dtype=bool)
         for k in range(3):
-            rel_a = ea[f, k] - pts
+            rel_a = ea[f, k] - q
             e = rel_a @ edge_m[f, k]  # >= 0 on the face's side of the edge line
-            t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (pts - eb[f, k]) @ edge_u[f, k]), 0.0)
-            dist = np.minimum(dist, np.sqrt(h[:, f] ** 2 + e * e + t * t))
+            t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (q - eb[f, k]) @ edge_u[f, k]), 0.0)
+            dq = np.minimum(dq, np.sqrt(hq[:, f] ** 2 + e * e + t * t))
             in_face &= e >= 0.0
-        dist[in_face] = np.minimum(dist[in_face], np.abs(h[in_face, f]))
+        dq[in_face] = np.minimum(dq[in_face], np.abs(hq[in_face, f]))
+    dist[near] = dq
     return dist
 
 
@@ -610,15 +620,19 @@ def _exp_divided_difference(z):
     # column j of diag(w) + superdiag(1) has 1-norm |w_j| + (j > 0)
     s = math.ceil(math.log2(np.max(np.abs(w) + (np.arange(4) > 0))))
     diag, sup = w / 2.0**s, 2.0**-s
-    e = np.zeros((len(z), 4, 4), dtype=complex)
-    e[:, np.arange(4), np.arange(4)] = 1.0 + diag / 18.0
-    e[:, np.arange(3), np.arange(1, 4)] = sup / 18.0
+    # the Taylor sum keeps e upper triangular: t[o][:, i] holds e[i, i + o]
+    t = [1.0 + diag / 18.0, np.full((len(z), 3), sup / 18.0, dtype=complex),
+         np.zeros((len(z), 2), dtype=complex), np.zeros((len(z), 1), dtype=complex)]
     for j in range(17, 0, -1):
         # a @ e for the bidiagonal a = diag(diag) + superdiag(sup), in the
         # order matmul sums: the diagonal term, then the one from below
-        ae = diag[:, :, None] * e
-        ae[:, :3] += sup * e[:, 1:]
-        e = np.eye(4) + ae / j
+        ae = [diag[:, :4 - o] * t[o] for o in range(4)]
+        for o in range(1, 4):
+            ae[o] += sup * t[o - 1][:, 1:]
+        t = [float(o == 0) + ae[o] / j for o in range(4)]  # I + a e / j
+    e = np.zeros((len(z), 4, 4), dtype=complex)
+    for o in range(4):
+        e[:, np.arange(4 - o), np.arange(o, 4)] = t[o]
     for _ in range(s):
         e = e @ e
     return np.exp(mean) * e[:, 0, 3]
@@ -754,25 +768,52 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
 def sample_field(cfg, j, spec, kind="chi"):
     """Sample chi_j or xi_j on a grid, returning a ScalarField.
 
-    Only the nodes of the support box are evaluated: the box of T', the
-    tile with each face pushed out by the smearing radius, widened by 2
-    cells and clipped to the grid.  Every other node is 0, as a pointwise
-    evaluation would give.
+    Only the nodes inside T', the tile with each face pushed out by the
+    smearing radius rs, are evaluated.  They are found column by column:
+    over each (x, y) node of the box of T' (widened by 2 cells and clipped
+    to the grid) the four conditions n_f.x < o_f + rs, each loosened by
+    1e-9 of the tile scale against rounding, bound z to one interval.
+    Every other node is 0, as a pointwise evaluation would give.
     """
     if kind not in ("chi", "xi"):
         raise ValueError(f"kind must be 'chi' or 'xi', got {kind!r}")
-    lo, hi = _reach_box(_vertex_key(_tile_vertices(cfg, j, kind == "chi")),
-                        cfg.smear_radius)
+    verts = _tile_vertices(cfg, j, kind == "chi")
+    rs = cfg.smear_radius
+    key = _vertex_key(verts)
+    lo, hi = _reach_box(key, rs)
     box = tuple(
         slice(max(math.floor((lo[a] - spec.origin[a]) / spec.spacing[a]) - 2, 0),
               max(math.ceil((hi[a] - spec.origin[a]) / spec.spacing[a]) + 3, 0))
         for a in range(3))
-    xs, ys, zs = np.meshgrid(*(ax[s] for ax, s in zip(spec.axes(), box)), indexing="ij")
-    pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    xs, ys, zs = (ax[s] for ax, s in zip(spec.axes(), box))
+
+    normals, offsets = _face_frames(key)[:2]
+    reach = offsets + rs + 1e-9 * (float(np.max(np.abs(verts))) + rs)
+    z_lo = np.full((len(xs), len(ys)), -np.inf)
+    z_hi = np.full((len(xs), len(ys)), np.inf)
+    for n, r in zip(normals, reach):
+        bound = r - n[0] * xs[:, None] - n[1] * ys[None, :]  # n_z z < bound
+        if n[2] > 0.0:
+            z_hi = np.minimum(z_hi, bound / n[2])
+        elif n[2] < 0.0:
+            z_lo = np.maximum(z_lo, bound / n[2])
+        else:
+            z_hi[bound <= 0.0] = -np.inf
+    start = np.searchsorted(zs, z_lo.ravel(), "left")
+    count = np.maximum(np.searchsorted(zs, z_hi.ravel(), "right") - start, 0)
+    if count.sum() < 2:
+        # BLAS rounds a one-row product unlike the same row of a batch,
+        # so a lone node is evaluated among all the box nodes
+        start[:] = 0
+        count[:] = len(zs)
+    col = np.repeat(np.arange(len(count)), count)
+    iz = np.arange(len(col)) - np.repeat(np.cumsum(count) - count - start, count)
+    ix, iy = np.divmod(col, len(ys))
+    pts = np.stack([xs[ix], ys[iy], zs[iz]], axis=1)
     if kind == "chi":
         vals = chi_values(cfg, j, pts)
     else:
         vals = xi_values(cfg, j, pts)
     values = np.zeros(spec.dims)
-    values[box] = vals.reshape(xs.shape)
+    values[box][ix, iy, iz] = vals
     return field.ScalarField(spec, values)

@@ -294,6 +294,19 @@ def test_flatness_error_sums_theta_on_the_delta_neighbourhood():
     assert upper["theta"] == 0.0 and lower["theta"] == 0.0
 
 
+def test_flatness_error_gaussian_values():
+    """A gaussian on the default (ell 4, delta 0.8) flatness grid: every
+    term, bit for bit, as computed with distances taken on every node."""
+    upper, lower = certificate.flatness_error(
+        field.Density.gaussian(1.0, 1.0), 0.25, QUANTUM, 4.0, 0.8)
+    assert upper == {"bulk": 0.009286950226815215, "weight_gradient": 1.8046960888746315,
+                     "kin": 0.08404605378089387, "theta": 5129.957051666457,
+                     "rho_ref": 0.00012134955920248059}
+    assert lower == {"bulk": 1.0802670395093892, "transition_layer": 1.269723864750845,
+                     "kin": 0.08404605378089387, "theta": 5129.957051666457,
+                     "rho_ref": 0.06348619323754226}
+
+
 def test_subadditivity_gap_formula():
     F1 = unit_set()
     F2 = unit_set(mass=0.1, l2=0.1, l43=0.1, l53=0.1, kin=0.1, tv=0.1, thg=0.1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -347,9 +348,16 @@ def test_tile_distance_of_face_edge_and_vertex_points(j):
             pts.append(0.5 * (verts[a] + verts[b]) + t * d / np.linalg.norm(d))
             want.append(t)
     inner = verts.mean(axis=0) + 0.9 * (verts - verts.mean(axis=0))
-    got = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]))
+    got = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]), 2.5)
     np.testing.assert_allclose(got[:-4], want, rtol=1e-12)
     assert np.all(got[-4:] == 0.0)
+    # at cutoff 1 every point nearer than 1 keeps its bits; a point at t = 2
+    # keeps them too or reads inf, and those along a face normal read inf
+    cut = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]), 1.0)
+    near = got < 1.0
+    np.testing.assert_array_equal(cut[near], got[near])
+    assert np.all((cut[~near] == got[~near]) | (cut[~near] == np.inf))
+    assert np.all(cut[28 + 2 * np.arange(4)] == np.inf)  # t = 2 (14 points per t), faces
 
 
 def _chi_sum_27_cells(cfg, pts):
@@ -416,17 +424,28 @@ def test_sample_field_matches_pointwise():
         tiling.sample_field(cfg, 1, spec, kind="zeta")
 
 
-# one grid cuts through each of these tiles of the ell = 2 cube, one misses them
+# ell = 2 grids: one cuts through each of these tiles, one misses them, one
+# puts nodes on the face planes and edge lines of every xi and chi tile
+# (multiples of 1/16), and two coarse ones hold one or two nodes of T'
 SAMPLE_GRIDS = {
     "clipping": field.GridSpec((23, 19, 21), (0.083, 0.091, 0.077), (-0.9, -1.1, -0.8)),
     "apart": field.GridSpec((6, 7, 5), (0.1, 0.1, 0.1), (9.0, 9.0, 9.0)),
+    "planes": field.GridSpec((41, 41, 41), (0.0625,) * 3, (-1.25,) * 3),
+    "coarse_a": field.GridSpec((4, 4, 4), (0.711,) * 3, (-0.359, -0.298, -0.778)),
+    "coarse_b": field.GridSpec((4, 4, 4), (0.755,) * 3, (-0.604, -0.553, -0.143)),
 }
+# nonzero nodes of the coarse grids where T' holds one or two nodes
+SAMPLE_NONZERO = {("coarse_a", 1, "xi"): 1, ("coarse_a", 7, "chi"): 1,
+                  ("coarse_a", 24, "chi"): 1, ("coarse_b", 7, "chi"): 1,
+                  ("coarse_b", 7, "xi"): 2}
 
 
 @pytest.mark.parametrize("grid", SAMPLE_GRIDS)
 @pytest.mark.parametrize("kind", ["chi", "xi"])
 @pytest.mark.parametrize("j", [1, 7, 24])
 def test_sample_field_equals_every_node_evaluation(j, kind, grid):
+    """sample_field evaluates only the column nodes of T', and a lone one
+    among the box nodes; every value equals the all-node evaluation."""
     cfg = tiling.TilingConfig(2.0, 0.5)
     spec = SAMPLE_GRIDS[grid]
     pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
@@ -434,7 +453,12 @@ def test_sample_field_equals_every_node_evaluation(j, kind, grid):
     want = values(cfg, j, pts).reshape(spec.dims)
     got = tiling.sample_field(cfg, j, spec, kind=kind).values
     np.testing.assert_array_equal(got, want)
-    assert got.any() == (grid == "clipping")
+    if grid in ("clipping", "planes"):
+        assert got.any()
+    elif grid == "apart":
+        assert not got.any()
+    elif (grid, j, kind) in SAMPLE_NONZERO:
+        assert np.count_nonzero(got) == SAMPLE_NONZERO[grid, j, kind]
 
 
 def _reach_box_case():
@@ -485,3 +509,41 @@ def test_convolved_indicator_lone_box_point_keeps_its_value():
         alone = tiling.convolved_indicator(verts, rs, np.vstack([pts[i], far]))
         beside = tiling.convolved_indicator(verts, rs, np.vstack([pts[i], corner]))
         assert alone[0] == beside[0]
+
+
+# sha256 of raw float64 bytes, as computed with every face term taken on
+# every active point: smeared_tetra(1.7, 4, 1.98) sampled on its 170^3
+# default grid, and xi_j with its gradient (tiles 1 and 7, ell 4, delta 1)
+# at the points below
+TETRA_SAMPLE_SHA256 = "928f42f1416ce71eec6f17d9dcfc70550e7852eac1fa1302d2a833a2ad3720e6"
+XI_GRAD_SHA256 = "f79c4ae3edb1b07d50c915cc611236fa172f449212e62d436451337e67454ca0"
+
+
+def test_smeared_tetra_sample_digest():
+    rho = field.Density.smeared_tetra(1.7, 4.0, 1.98)
+    spec = field.default_grid(rho)
+    assert spec.dims == (170, 170, 170)
+    digest = hashlib.sha256(rho.sample(spec).values.tobytes()).hexdigest()
+    assert digest == TETRA_SAMPLE_SHA256
+
+
+def test_xi_grad_values_digest():
+    """Random points, points on every face plane and edge line of the tile
+    (convex and affine combinations of its vertices), the vertices, and
+    lattice points (multiples of 1/4), many of them on face planes."""
+    cfg = tiling.TilingConfig(4.0, 1.0)
+    rng = np.random.default_rng(20)
+    digest = hashlib.sha256()
+    for j in (1, 7):
+        verts = tiling._tile_vertices(cfg, j, False)
+        pts = [rng.uniform(-2.3, 2.3, size=(12000, 3)), verts,
+               0.25 * rng.integers(-9, 10, size=(1500, 3))]
+        for face in itertools.combinations(range(4), 3):
+            pts.append(rng.dirichlet([1.0, 1.0, 1.0], size=600) @ verts[list(face)])
+        for a, b in itertools.combinations(range(4), 2):
+            t = rng.uniform(-0.3, 1.3, size=(300, 1))
+            pts.append(verts[a] + t * (verts[b] - verts[a]))
+        u, g = tiling.xi_grad_values(cfg, j, np.concatenate(pts))
+        digest.update(u.tobytes())
+        digest.update(g.tobytes())
+    assert digest.hexdigest() == XI_GRAD_SHA256
