@@ -1,8 +1,8 @@
 """Uniform-gas energy models, sharp constants, and total-energy envelopes.
 
-Everything here is d=3 unless a d argument says otherwise.  Energies follow
-the convention that the local model e(rho) already carries the spin factor
-q through its coefficients, so callers pass q once at construction.
+Everything here is d=3.  Energies follow the convention that the local
+model e(rho) already carries the spin factor q through its coefficients,
+so callers pass q once at construction.
 """
 
 from __future__ import annotations
@@ -13,14 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def sphere_area(d):
-    """Surface measure of the unit (d-1)-sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def c_tf(d=3):
-    """Thomas-Fermi constant: (4 pi^2 d/(d+2)) * (d/|S^{d-1}|)^{2/d}."""
-    return 4.0 * math.pi**2 * d / (d + 2.0) * (d / sphere_area(d)) ** (2.0 / d)
+def c_tf():
+    """Thomas-Fermi constant: (4 pi^2 d/(d+2)) * (d/|S^{d-1}|)^{2/d} at d = 3,
+    |S^2| = 2 pi^{3/2}/Gamma(3/2)."""
+    return 4.0 * math.pi**2 * 3 / 5.0 * (3 / (2.0 * math.pi**1.5 / math.gamma(1.5))) ** (2.0 / 3)
 
 
 def c_tf3_product_form():
@@ -43,7 +39,7 @@ def b_dirac(q=1):
 def constants_table(q=1):
     """All numeric constants a certification run can depend on."""
     return {
-        "c_tf": c_tf(3),
+        "c_tf": c_tf(),
         "c_lo": C_LO,
         "c_lo_grad": C_LO_GRAD,
         "c_lo_grad_coeff": C_LO_GRAD_COEFF,
@@ -83,7 +79,7 @@ def _spin(q):
 
 
 def _tf_coefficient(q):
-    return _spin(q) ** (-2.0 / 3.0) * c_tf(3)
+    return _spin(q) ** (-2.0 / 3.0) * c_tf()
 
 
 def tf_dirac_model(q=1):
@@ -122,7 +118,7 @@ def energy_lower(F, q=1, c_lt=None):
     """
     conjectured = c_lt is None
     if conjectured:
-        c_lt = c_tf(3)
+        c_lt = c_tf()
     return _spin(q) ** (-2.0 / 3.0) * c_lt * F.l53 - C_LO * F.l43, conjectured
 
 

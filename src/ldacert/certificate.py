@@ -172,7 +172,7 @@ class Certificate:
                 "variant": p.variant,
                 "model": self.model.name,
                 "model_A": self.model.A, "model_B": self.model.B,
-                "c_tf": bounds.c_tf(3), "c_lo": bounds.C_LO,
+                "c_tf": bounds.c_tf(), "c_lo": bounds.C_LO,
             },
             "functionals": {
                 "mass": F.mass, "l2": F.l2, "l43": F.l43, "l53": F.l53,
@@ -193,19 +193,19 @@ def certify(rho, params, model=None, n_grid=None):
 
     model defaults to the kinetic-plus-exchange power family for params.q.
     Analytic families give every functional and the Hartree term in closed
-    form and are not sampled.  Any other density is sampled once, on
-    default_grid(rho, n_grid), and certified as the grid density of those
-    samples.
+    form and are not sampled; a grid density is certified as it is.  Any
+    other density is sampled once, on default_grid(rho, n_grid), and
+    certified as the grid density of those samples.
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
-    if not rho.closed_form:
+    if rho.needs_sampling:
         rho = field.Density.grid(field.density_to_field(rho, field.default_grid(rho, n_grid)))
     F = field.functionals(rho, theta=params.theta, p=params.p)
     zero = F.mass == 0.0 and F.kin == 0.0 and F.thg == 0.0
     if zero:
-        F = F.with_hartree(0.0)
+        F = replace(F, hartree=0.0)
         return Certificate(
             params=params, model=model, functionals=F, lda=0.0,
             eps_star=0.0, rhs_total=0.0,
@@ -213,7 +213,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = F.with_hartree(rho.hartree())
+    F = replace(F, hartree=rho.hartree())
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:

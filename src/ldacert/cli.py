@@ -259,8 +259,8 @@ def _suite_kinetic():
                    m.fisher * eps**2 - 19.0)
     checks.append(("kinetic.margins", max(viol, 0.0)))
     checks.append(("kinetic.c_tf",
-                   abs(bounds.c_tf(3) - bounds.c_tf3_product_form())
-                   / bounds.c_tf(3)))
+                   abs(bounds.c_tf() - bounds.c_tf3_product_form())
+                   / bounds.c_tf()))
     checks.append(("kinetic.c_lo_grad", abs(bounds.C_LO_GRAD - 1.4508)))
     return checks
 

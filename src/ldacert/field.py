@@ -159,9 +159,6 @@ class FunctionalSet:
     p: float
     hartree: float | None = None
 
-    def with_hartree(self, value):
-        return replace(self, hartree=value)
-
 
 def _gaussian_power_integral(sigma, mass, s):
     # int rho^s for rho = mass * (2 pi sigma^2)^{-3/2} exp(-|x|^2/(2 sigma^2))
@@ -321,16 +318,19 @@ class Density:
     """A particle density: one frozen subclass per family, built with
     Density.gaussian / compact_bump / smeared_tetra / grid.
 
-    Each family validates its parameters and provides default_grid(n),
-    sample(spec), scaled(factor), functionals(theta, p) and the Coulomb
-    terms hartree() and kernel_moment(kvecs, n).
+    Each family validates its parameters and provides default_grid(n) and
+    sample(spec).  The grid route is held here, once: functionals(theta, p),
+    hartree() and kernel_moment(kvecs, n) take the grid term of
+    self.sample(self.default_grid(n)).  The analytic families override
+    those they have in closed form or by radial quadrature.
     """
 
     #: the grid a density is tied to; only sampled grid densities have one
     own_grid = None
-    #: whether the functionals and Coulomb terms need no samples, so that
-    #: certify takes none
-    closed_form = False
+    #: whether certify samples the density once and certifies the grid
+    #: density of those samples; the analytic families and grid densities
+    #: are certified as they are
+    needs_sampling = True
 
     def _require_finite(self):
         # every parameter of an analytic family is a number
@@ -339,36 +339,26 @@ class Density:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
 
-    def hartree(self):
-        """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy.
+    def functionals(self, theta, p):
+        return _grid_functionals(self.sample(self.default_grid()), theta, p)
 
-        The grid route: coulomb.hartree of the density on its default grid.
-        The analytic families and GridDensity override it.
-        """
+    def hartree(self):
+        """Direct term D(rho) = (1/2) iint rho(x) rho(y)/|x-y| dx dy."""
         from . import coulomb  # lazy: coulomb needs this module's grid types
 
-        return coulomb.hartree(self)
+        return coulomb.hartree(self.sample(self.default_grid()))
 
     def kernel_moment(self, kvecs, n=None):
-        """coulomb.kernel_moment's I(k) for each row k, on default_grid(n).
-
-        The grid route; the gaussian overrides it.
-        """
+        """coulomb.kernel_moment's I(k) for each row k, on default_grid(n)."""
         from . import coulomb
 
-        return coulomb.kernel_moment(self, kvecs, self.default_grid(n))
+        return coulomb.kernel_moment(self.sample(self.default_grid(n)), kvecs)
 
 
 def _cube_grid(half, n):
     # n^3 nodes spanning the cube [-half, half]^3
     h = 2.0 * half / (n - 1)
     return GridSpec((n, n, n), (h, h, h), (-half, -half, -half))
-
-
-def _scale_factor(factor):
-    if factor < 0:
-        raise ValueError("factor must be nonnegative")
-    return factor
 
 
 @dataclass(frozen=True)
@@ -378,7 +368,7 @@ class Gaussian(Density):
     sigma: float
     mass: float = 1.0
 
-    closed_form = True
+    needs_sampling = False
 
     def __post_init__(self):
         self._require_finite()
@@ -395,9 +385,6 @@ class Gaussian(Density):
         amp = self.mass * (2.0 * math.pi * self.sigma**2) ** -1.5
         return ScalarField(
             spec, amp * np.exp(-(X**2 + Y**2 + Z**2) / (2.0 * self.sigma**2)))
-
-    def scaled(self, factor):
-        return replace(self, mass=_scale_factor(factor) * self.mass)
 
     def functionals(self, theta, p):
         sigma, mass = self.sigma, self.mass
@@ -455,7 +442,7 @@ class CompactBump(Density):
     radius: float
     mass: float = 1.0
 
-    closed_form = True
+    needs_sampling = False
 
     def __post_init__(self):
         self._require_finite()
@@ -475,9 +462,6 @@ class CompactBump(Density):
         inside = r2 < 1.0
         vals[inside] = c * np.exp(-1.0 / (1.0 - r2[inside]))
         return ScalarField(spec, vals)
-
-    def scaled(self, factor):
-        return replace(self, mass=_scale_factor(factor) * self.mass)
 
     def functionals(self, theta, p):
         radius, mass = self.radius, self.mass
@@ -534,18 +518,14 @@ class SmearedTetra(Density):
         xi.values *= self.rho0  # xi lies in [0, 1] and rho0 >= 0
         return xi
 
-    def scaled(self, factor):
-        return replace(self, rho0=_scale_factor(factor) * self.rho0)
-
-    def functionals(self, theta, p):
-        return _grid_functionals(density_to_field(self), theta, p)
-
 
 @dataclass(frozen=True, eq=False)
 class GridDensity(Density):
     """A density given by its samples, tied to their grid."""
 
     field: ScalarField
+
+    needs_sampling = False
 
     def __post_init__(self):
         if np.any(self.field.values < 0):
@@ -560,18 +540,6 @@ class GridDensity(Density):
         if spec != self.field.spec:
             raise ValueError("grid densities carry their own GridSpec")
         return self.field
-
-    def scaled(self, factor):
-        return GridDensity(ScalarField(self.field.spec,
-                                       _scale_factor(factor) * self.field.values))
-
-    def functionals(self, theta, p):
-        return _grid_functionals(self.field, theta, p)
-
-    def hartree(self):
-        from . import coulomb
-
-        return coulomb.hartree(self.field)
 
 
 Density.gaussian = Gaussian

@@ -483,14 +483,18 @@ def _tile_distance(vertices, pts, cutoff):
     dist = np.where(np.all(h <= 0.0, axis=1), 0.0, np.inf)
     near = np.flatnonzero(np.all(h < cutoff, axis=1))
     q, hq, dq = pts[near], h[near], dist[near]
+    measured = set()  # each edge bounds two faces; the first one measures it
     for f in range(4):
         in_face = np.ones(len(q), dtype=bool)
         for k in range(3):
             rel_a = ea[f, k] - q
             e = rel_a @ edge_m[f, k]  # >= 0 on the face's side of the edge line
-            t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (q - eb[f, k]) @ edge_u[f, k]), 0.0)
-            dq = np.minimum(dq, np.sqrt(hq[:, f] ** 2 + e * e + t * t))
             in_face &= e >= 0.0
+            edge = frozenset((tuple(ea[f, k]), tuple(eb[f, k])))
+            if edge not in measured:
+                measured.add(edge)
+                t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (q - eb[f, k]) @ edge_u[f, k]), 0.0)
+                dq = np.minimum(dq, np.sqrt(hq[:, f] ** 2 + e * e + t * t))
         dq[in_face] = np.minimum(dq[in_face], np.abs(hq[in_face, f]))
     dist[near] = dq
     return dist

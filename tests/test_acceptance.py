@@ -89,7 +89,7 @@ def test_criterion_04_remark_margins():
 
 def test_criterion_05_constants():
     product_form = 3.0 ** (5.0 / 3.0) * 4.0 ** (1.0 / 3.0) * math.pi ** (4.0 / 3.0) / 5.0
-    r1 = abs(bounds.c_tf(3) - product_form) / product_form
+    r1 = abs(bounds.c_tf() - product_form) / product_form
     r2 = abs(bounds.C_LO_GRAD - 1.4508)
     ok = r1 <= 1e-12 and r2 <= 5e-5
     assert _verdict(5, ok, f"c_tf rel residual {r1:.2e} (tol 1e-12), "

@@ -8,8 +8,8 @@ from ldacert import bounds, field, kinetic
 
 
 def test_tf_constant_two_routes():
-    assert bounds.c_tf(3) == pytest.approx(bounds.c_tf3_product_form(), rel=1e-12)
-    assert bounds.c_tf(3) == pytest.approx(9.115599744691195, rel=1e-12)
+    assert bounds.c_tf() == pytest.approx(bounds.c_tf3_product_form(), rel=1e-12)
+    assert bounds.c_tf() == pytest.approx(9.115599744691195, rel=1e-12)
 
 
 def test_lieb_oxford_gradient_constant():
@@ -33,7 +33,7 @@ def test_constants_table_keys():
 def test_models(gauss_F):
     td = bounds.tf_dirac_model(1)
     to = bounds.tf_only_model(1)
-    assert td.A == pytest.approx(bounds.c_tf(3))
+    assert td.A == pytest.approx(bounds.c_tf())
     assert td.B == pytest.approx(bounds.b_dirac(1))
     assert to.B == 0.0
     cm = bounds.custom_model(2.0, -0.5)
@@ -74,7 +74,7 @@ def test_sandwich_on_gaussian(gauss_F):
 def test_e_envelope_bracket():
     lo, hi = bounds.e_envelope(2.0)
     assert lo == pytest.approx(-bounds.C_LO * 2.0 ** (4.0 / 3.0))
-    assert hi == pytest.approx(bounds.c_tf(3) * 2.0 ** (5.0 / 3.0))
+    assert hi == pytest.approx(bounds.c_tf() * 2.0 ** (5.0 / 3.0))
     assert lo <= hi
 
 

@@ -19,7 +19,7 @@ def test_hartree_mass_squared_scaling():
     rho = field.Density.gaussian(1.0, 1.0)
     spec = field.default_grid(rho, 32)
     d1 = coulomb.hartree(rho, spec)
-    d3 = coulomb.hartree(rho.scaled(3.0), spec)
+    d3 = coulomb.hartree(field.Density.gaussian(1.0, 3.0), spec)
     assert d3 == pytest.approx(9.0 * d1, rel=1e-10)
 
 
@@ -139,11 +139,11 @@ def test_hartree_builds_kernel_once_per_grid(monkeypatch):
     assert values[0] == values[1] == values[2]
     # the engine is keyed on the support box: the same box reuses it, a
     # smaller box on the same grid builds its own, once
-    coulomb.hartree(rho.scaled(3.0), spec)
+    coulomb.hartree(field.Density.gaussian(1.0, 3.0), spec)
     assert len(builds) == 1
     bump = field.Density.compact_bump(1.5, 1.0)
     coulomb.hartree(bump, spec)
-    coulomb.hartree(bump.scaled(2.0), spec)
+    coulomb.hartree(field.Density.compact_bump(1.5, 2.0), spec)
     assert len(builds) == 2 and builds[1] != builds[0]
 
 

@@ -169,6 +169,30 @@ def test_gaussian_dawson_moments_match_the_grid_route():
         rho.kernel_moment(np.zeros((2, 2)))
 
 
+def _gridded_gaussian():
+    rho = field.Density.gaussian(1.0, 1.0)
+    return field.Density.grid(field.density_to_field(rho, field.default_grid(rho, 24)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field.Density.smeared_tetra(1.0, 2.0, 0.5),
+    _gridded_gaussian,
+], ids=["smeared_tetra", "grid"])
+def test_grid_families_take_the_base_grid_route(make):
+    """functionals, hartree and kernel_moment of a grid family are the grid
+    terms of its samples on default_grid(rho, n), bit for bit."""
+    from ldacert import coulomb
+
+    rho = make()
+    samples = field.density_to_field(rho, field.default_grid(rho))
+    assert field.functionals(rho) == field._grid_functionals(samples, 0.5, 4.0)
+    assert rho.hartree() == coulomb.hartree(samples)
+    kvecs = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, -2.0]])
+    coarse = field.density_to_field(rho, field.default_grid(rho, 32))
+    np.testing.assert_array_equal(rho.kernel_moment(kvecs, 32),
+                                  coulomb.kernel_moment(coarse, kvecs))
+
+
 def _bump_hartree_reference(radius, mass):
     """D = (1/2) int rho phi 4 pi r^2 dr with the shell-theorem potential
     phi(r) = Q(r)/r + int_r^R 4 pi s rho(s) ds, by nested quad."""
@@ -301,22 +325,6 @@ def test_grid_density_spec_mismatch():
     other = field.GridSpec((8, 8, 8), (1.0, 1.0, 1.0), (-4.0, -4.0, -4.0))
     with pytest.raises(ValueError):
         field.density_to_field(grid_rho, other)
-
-
-def test_scaled_keeps_the_family():
-    assert (field.Density.gaussian(1.0, 2.0).scaled(3.0)
-            == field.Density.gaussian(1.0, 6.0))
-    assert (field.Density.compact_bump(1.5, 2.0).scaled(0.5)
-            == field.Density.compact_bump(1.5, 1.0))
-    assert (field.Density.smeared_tetra(2.0, 4.0, 1.0).scaled(0.25)
-            == field.Density.smeared_tetra(0.5, 4.0, 1.0))
-    spec = field.GridSpec((4, 4, 4), (1.0, 1.0, 1.0))
-    grid = field.Density.grid(field.ScalarField(spec, np.ones(spec.dims)))
-    doubled = field.density_to_field(grid.scaled(2.0))
-    assert doubled.spec == spec
-    np.testing.assert_array_equal(doubled.values, np.full(spec.dims, 2.0))
-    with pytest.raises(ValueError):
-        grid.scaled(-1.0)
 
 
 def test_integrate_constant():
