@@ -363,6 +363,8 @@ def flatness_error(rho, eps, params, ell, delta):
     Both sets come from the Euclidean distance to the tile (a convolution
     carries roundoff where it is 0): w's support (rho_min, rho_max, weight
     gradient) is dist < delta/10, the fattened tile (theta) dist < delta.
+    w and its gradient are evaluated only at the grid nodes inside T', the
+    tile with its faces pushed out by delta/10, and are 0 at the others.
     """
     _require_params(params)
     if not 0.0 < eps <= 0.5:
@@ -377,9 +379,12 @@ def flatness_error(rho, eps, params, ell, delta):
     X, Y, Z = spec.meshgrid()
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
-    w, gw = tiling.xi_grad_values(cfg, 1, pts)
-    w = w.reshape(spec.dims)
-    gw2 = np.einsum("ij,ij->i", gw, gw).reshape(spec.dims)
+    box, idx, nodes = tiling._tile_nodes(verts, cfg.smear_radius, spec)
+    w_t, gw_t = tiling.xi_grad_values(cfg, 1, nodes)
+    w = np.zeros(spec.dims)
+    w[box][idx] = w_t
+    gw2 = np.zeros(spec.dims)
+    gw2[box][idx] = np.einsum("ij,ij->i", gw_t, gw_t)
     dist = tiling._tile_distance(verts, pts, delta).reshape(spec.dims)
     fat = dist < delta
 

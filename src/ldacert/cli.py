@@ -294,7 +294,7 @@ def _suite_tiling():
               for m in [(1, 0, 0), (1, 1, 1), (3, 2, 1)])
     checks.append(("tiling.cube_transform_lattice", float(res)))
 
-    mass = tiling.chi_mass(cfg, 1, n=128)
+    mass = tiling.chi_mass(cfg, 1)
     checks.append(("tiling.chi_mass", abs(mass - 4.0**3 / 24.0) / (4.0**3 / 24.0)))
     return checks
 

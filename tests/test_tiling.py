@@ -57,7 +57,7 @@ def test_xi_partition_of_unity():
 def test_chi_tau_average_normalization():
     # int chi_j = ell^3/24 (the tau-average normalization)
     cfg = tiling.TilingConfig(4.0, 1.0)
-    mass = tiling.chi_mass(cfg, 1, n=128)
+    mass = tiling.chi_mass(cfg, 1)
     assert mass == pytest.approx(4.0**3 / 24.0, rel=1e-4)
 
 
@@ -69,6 +69,31 @@ def test_sqrt_chi_gradient_scaling():
     for ell, delta in ((4.0, 0.5), (4.0, 1.0), (6.0, 0.5)):
         v = tiling.sqrt_chi_grad_norm(tiling.TilingConfig(ell, delta), 1)
         assert 7.0 < v * delta / ell**2 < 10.0
+
+
+def test_tile_integrals_equal_every_node_sums():
+    """chi_mass and sqrt_chi_grad_norm evaluate only the T' nodes of their
+    support box grid; the sums over every node of that grid give the same
+    bits.  Both cases are cheap: (4, 0.1) has a thin smear layer on
+    chi_mass's fixed 128-node grid, and (4, 1) puts the automatic grid at
+    its 96-node floor."""
+    cfg = tiling.TilingConfig(4.0, 0.1)
+    spec = tiling._support_box_grid(cfg, 1, 128)
+    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
+    u = tiling.convolved_indicator(tiling._tile_vertices(cfg, 1, True), cfg.smear_radius, pts)
+    want = field.integrate(field.ScalarField(spec, (u / (1.0 - cfg.eps) ** 3).reshape(spec.dims)))
+    assert tiling.chi_mass(cfg, 1) == want
+
+    cfg = tiling.TilingConfig(4.0, 1.0)
+    spec = tiling._support_box_grid(cfg, 1, None)
+    assert max(spec.dims) == 96
+    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
+    u, g = tiling.convolved_indicator(
+        tiling._tile_vertices(cfg, 1, True), cfg.smear_radius, pts, want_grad=True)
+    pos = u > 1e-150
+    dens = np.einsum("ij,ij->i", g[pos], g[pos]) / (4.0 * u[pos])
+    want = spec.cell_volume * float(np.sum(dens)) / (1.0 - cfg.eps) ** 3
+    assert tiling.sqrt_chi_grad_norm(cfg, 1) == want
 
 
 def test_mollifier_mass():
