@@ -194,12 +194,15 @@ def certify(rho, params, model=None, n_grid=None):
     model defaults to the kinetic-plus-exchange power family for params.q.
     Analytic families give every functional and the Hartree term in closed
     form and are not sampled; a grid density is certified as it is.  Any
-    other density is sampled once, on default_grid(rho, n_grid), and
-    certified as the grid density of those samples.
+    other density (a smeared tile) is sampled once, on
+    default_grid(rho, n_grid), and its functionals are those of the grid
+    density of the samples.  The Hartree term always comes from the density
+    as given, so a smeared tile's is its closed form and runs no transform.
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
+    hartree = rho.hartree
     if rho.needs_sampling:
         rho = field.Density.grid(field.density_to_field(rho, field.default_grid(rho, n_grid)))
     F = field.functionals(rho, theta=params.theta, p=params.p)
@@ -213,7 +216,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = replace(F, hartree=rho.hartree())
+    F = replace(F, hartree=hartree())
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:

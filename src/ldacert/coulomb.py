@@ -15,7 +15,8 @@ localization identity.  The annulus convolution is an independent 1D
 radial reduction used by the tiling error analysis.
 
 scipy.fft is imported on the first transform, not with the module, so a
-command that runs none (``info``, a gaussian ``certify``) never loads it.
+command that runs none (``info``, a gaussian or smeared-tile ``certify``)
+never loads it.
 """
 
 from __future__ import annotations

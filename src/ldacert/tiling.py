@@ -226,6 +226,100 @@ def _kg_profile(r, rs):
     return _profiles()[0](r / rs) / rs
 
 
+@lru_cache(maxsize=1)
+def _mollifier_difference_moments():
+    """E|X - X'|^m for m = 2, 3, 4, 5, X and X' independent draws from eta_1.
+
+    For |X| = a >= |X'| = b the mean of |X - X'|^m over directions is
+    ((a + b)^n - (a - b)^n) / (2 a b n) with n = m + 2, the sum over odd k
+    of C(n, k) a^(n-k-1) b^(k-1) / n.  The b integral up to a is
+    field._bump_enclosed(k - 1) at the nodes of the radial rule, and the
+    a integral is that rule, so E = (2/n) sum_k C(n, k) int p(a) a^(n-k-1)
+    P_(k-1)(a) da with p the density of |X| and P_i(a) = int_0^a p(b) b^i db.
+    """
+    _, u, w = field._radial_rule()
+    scale = 4.0 * math.pi * _mollifier_norm()
+    outer = scale * np.exp(-1.0 / (1.0 - u * u)) * u * u * w  # p(a) da
+    moments = []
+    for m in range(2, 6):
+        n = m + 2
+        total = sum(math.comb(n, k) * np.sum(outer * u ** (n - k - 1)
+                                             * (scale * field._bump_enclosed(k - 1)[1]))
+                    for k in range(1, n + 1, 2))
+        moments.append(2.0 * total / n)
+    return tuple(moments)
+
+
+# ---------------------------------------------------------------------------
+# the covariogram of a tile
+
+
+@lru_cache(maxsize=1)
+def _covariogram_sphere_moments():
+    """(V, s_max, S_-2, (S_0, S_1, S_2, S_3)) of tile 1 at ell = 1; all 24
+    tiles are congruent.
+
+    The covariogram of a simplex, the volume g(r w) of T intersected with
+    T + r w, is V (1 - r s(w))^3 for r s(w) <= 1 (the intersection is a
+    homothetic copy of T), with
+    s(w) = sum_f A_f (n_f.w)_- / (3V) over the faces' areas and outward
+    normals, and S_j = int_{S^2} s^j dw.
+
+    On each of the 14 cells of the arrangement of the great circles
+    n_f.w = 0 (a sign vector sigma, not all equal) s = a.w with
+    a = sum_f sigma_f A_f n_f / (6V), since sum_f A_f n_f = 0.  With
+    a = |a| c, the gnomonic map y = w / (c.w) takes the cell to a convex
+    polygon in the plane c.y = 1, with dw = dA / |y|^3 and c.w = 1/|y|, so
+    int_cell s^j dw = |a|^j int |y|^(-j-3) dA.  Fanned from the foot c, the
+    radial integral is closed: edge PQ adds (c.(P x Q)) int_0^1 f(z(t)) dt
+    with z = |P + t (Q - P) - c|^2 and f(z) = (1 - (1 + z)^-e) / (2 e z),
+    e = (j + 1)/2, on 32 Gauss-Legendre nodes (64 nodes agree to 1e-15).
+    S_0 = 4 pi is a check on the cells.
+
+    s is the support function of the zonotope sum_f A_f/(6V) [-n_f, n_f],
+    so s_max, its largest value on the sphere, is the largest |a|.
+    """
+    tile = unit_cube_tetrahedra()[0]
+    volume = tile.volume
+    normals, _, corners = _face_frames(_vertex_key(tile.vertices))[:3]
+    areas = 0.5 * np.linalg.norm(
+        np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1)
+    x, wx = leggauss(32)
+    t, wt = 0.5 * (x + 1.0), 0.5 * wx
+    powers = (-2, 0, 1, 2, 3)
+    sphere = dict.fromkeys(powers, 0.0)
+    s_max = 0.0
+    for sigma in itertools.product((1.0, -1.0), repeat=4):
+        sigma = np.array(sigma)
+        if abs(sigma.sum()) == 4.0:
+            continue  # no direction has every n_f.w of one sign
+        a = (sigma * areas) @ normals / (6.0 * volume)
+        norm = np.linalg.norm(a)
+        c = a / norm
+        s_max = max(s_max, norm)
+        # the cell's corners: +-n_f x n_g inside the other two half-spaces
+        cell = {}
+        for pair in itertools.combinations(range(4), 2):
+            v = np.cross(normals[pair[0]], normals[pair[1]])
+            side = [sigma[k] * normals[k] @ v for k in range(4) if k not in pair]
+            if min(side) > 0.0 or max(side) < 0.0:
+                cell[pair] = np.sign(side[0]) * v
+        for f in range(4):
+            ends = [v / (c @ v) for pair, v in cell.items() if f in pair]
+            if not ends:
+                continue
+            p, q = ends
+            if np.cross(c, q - p) @ (sigma[f] * normals[f]) < 0.0:
+                p, q = q, p  # counterclockwise about c
+            d = p - c + t[:, None] * (q - p)
+            z = np.sum(d * d, axis=1)
+            fan = c @ np.cross(p, q)
+            for j in powers:
+                e = 0.5 * (j + 1)
+                sphere[j] += norm**j * fan * (wt @ (-np.expm1(-e * np.log1p(z)) / (2.0 * e * z)))
+    return volume, s_max, sphere[-2], tuple(sphere[j] for j in range(4))
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation of indicator * mollifier for a tetrahedron
 

@@ -158,14 +158,26 @@ def test_report_json_determinism():
 
 
 def test_certify_functionals_follow_n_grid():
-    """certify(..., n_grid=n) takes every functional from the n-grid samples."""
+    """certify(..., n_grid=n) takes every functional from the n-grid samples,
+    and the Hartree term from the tile's closed form, whatever n is."""
     rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
     spec = field.default_grid(rho, 40)
     cert = certificate.certify(rho, QUANTUM, n_grid=40)
     sampled = field.Density.grid(field.density_to_field(rho, spec))
     want = field.functionals(sampled, theta=QUANTUM.theta, p=QUANTUM.p)
     assert dataclasses.replace(cert.functionals, hartree=None) == want
-    assert cert.functionals.hartree == coulomb.hartree(sampled)
+    assert cert.functionals.hartree == rho.hartree()
+
+
+def test_certify_smeared_tetra_runs_no_coulomb_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a smeared-tile certificate ran a Coulomb transform")
+
+    for name in ("hartree", "_spectrum"):
+        monkeypatch.setattr(coulomb, name, forbidden)
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    cert = certificate.certify(rho, QUANTUM)
+    assert cert.functionals.hartree == rho.hartree() > 0.0
 
 
 def _grid_gaussian():

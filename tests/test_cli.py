@@ -32,8 +32,8 @@ GAUSS_JSON = (
 
 TETRA = "builtin:smeared-tetra,rho0=1,ell=2,delta=0.5"
 
-# the whole stdout of `certify --density TETRA`, which takes the grid route:
-# "hartree" is the alias-free truncated-kernel value on the support box
+# the whole stdout of `certify --density TETRA`: the functionals take the
+# grid route on the tile's samples, and "hartree" is the tile's closed form
 TETRA_JSON = (
     '{"params": {"p": 4, "theta": 0.5, "C": 1, "q": 1, "variant": "quantum", '
     '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
@@ -42,7 +42,7 @@ TETRA_JSON = (
     '0.29830109672559074, "l43": 0.31779665003905977, "l53": '
     '0.30671233749118071, "kin": 49.908963487750839, "tv": 3.537338269623223, '
     '"thg": 11294.464963326491, "theta": 0.5, "p": 4, "hartree": '
-    '0.13463014495068162}, "lda": 2.5611554035150594, "epsilon_star": '
+    '0.13462435100956757}, "lda": 2.5611554035150594, "epsilon_star": '
     '8.8890110980137251, "rhs": {"bulk": 5.6146811987540879, "kin": '
     '55.523644686529316, "theta": 6.6079072151625063e-11, "total": '
     '61.138325885349488}, "band": [-58.577170481834429, 63.699481288864547], '
@@ -321,14 +321,15 @@ def test_certify_leaves_scipy_optimize_unimported(tmp_path):
     # the eps optimizers are closed forms and one bisection, and the bump's
     # radial integrals and the tile profiles are one numpy rule, so no
     # command here imports scipy.optimize, scipy.integrate or
-    # scipy.interpolate.  scipy.fft loads with the first transform; info, a
-    # tile and the analytic families run none and load no scipy at all
+    # scipy.interpolate.  scipy.fft loads with the first transform, which
+    # only a grid file's certificate runs; info, tile, the analytic families
+    # and the smeared tile, whose Hartree term is closed-form, load no scipy
     g = field.Density.gaussian(1.0, 1.0)
     path = tmp_path / "small.grid"
     field.write_grid(field.density_to_field(g, field.default_grid(g, 24)), str(path))
     env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
     for args, fft in ((["certify", "--density", str(path)], True),
-                      (["certify", "--density", TETRA], True),
+                      (["certify", "--density", TETRA], False),
                       (["certify", "--density", GAUSS], False),
                       (["certify", "--density", "builtin:compact-bump,radius=1,mass=1"], False),
                       (["tile", "--ell", "2", "--delta", "0.5",

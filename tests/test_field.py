@@ -1,10 +1,11 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ldacert import field
+from ldacert import field, tiling
 
 GAUSS_EXACT = {
     "mass": 1.0,
@@ -174,19 +175,21 @@ def _gridded_gaussian():
     return field.Density.grid(field.density_to_field(rho, field.default_grid(rho, 24)))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: field.Density.smeared_tetra(1.0, 2.0, 0.5),
-    _gridded_gaussian,
+@pytest.mark.parametrize("make,hartree_rel", [
+    (lambda: field.Density.smeared_tetra(1.0, 2.0, 0.5), 5e-5),
+    (_gridded_gaussian, 0.0),
 ], ids=["smeared_tetra", "grid"])
-def test_grid_families_take_the_base_grid_route(make):
-    """functionals, hartree and kernel_moment of a grid family are the grid
-    terms of its samples on default_grid(rho, n), bit for bit."""
+def test_grid_families_take_the_base_grid_route(make, hartree_rel):
+    """functionals and kernel_moment of a grid family are the grid terms of
+    its samples on default_grid(rho, n), bit for bit, and so is hartree of a
+    grid density.  The tile's hartree is its closed form, 4.3e-5 below the
+    grid term of its default samples."""
     from ldacert import coulomb
 
     rho = make()
     samples = field.density_to_field(rho, field.default_grid(rho))
     assert field.functionals(rho) == field._grid_functionals(samples, 0.5, 4.0)
-    assert rho.hartree() == coulomb.hartree(samples)
+    assert rho.hartree() == pytest.approx(coulomb.hartree(samples), rel=hartree_rel, abs=0.0)
     kvecs = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, -2.0]])
     coarse = field.density_to_field(rho, field.default_grid(rho, 32))
     np.testing.assert_array_equal(rho.kernel_moment(kvecs, 32),
@@ -223,6 +226,121 @@ def test_compact_bump_hartree_matches_radial_reference():
         assert got == pytest.approx(mass**2 / radius * unit, rel=1e-15)
         assert got == pytest.approx(_bump_hartree_reference(radius, mass), rel=1e-13)
     assert field.Density.compact_bump(1.0, 0.0).hartree() == 0.0
+
+
+def _tile_faces():
+    # outward unit normals and areas of tile 1 at ell = 1, from its vertices
+    v = tiling.unit_cube_tetrahedra()[0].vertices
+    normals, areas = [], []
+    for opp in range(4):
+        a, b, c = (v[i] for i in range(4) if i != opp)
+        n = np.cross(b - a, c - a)
+        n *= -np.sign(n @ (v[opp] - a))
+        normals.append(n / np.linalg.norm(n))
+        areas.append(0.5 * np.linalg.norm(n))
+    return np.array(normals), np.array(areas)
+
+
+def _direct_term_by_edge_sums():
+    """D(1_T) of the unit tile, (V/40) int s^-2 dw, by the closed edge sum.
+
+    On the cell of sign vector sigma, s = a.w; with a = |a| c the gnomonic
+    image of the cell in the plane c.y = 1 is a polygon, and int_cell
+    (c.w)^-2 dw = int dA/|y| = sum_edges d (asinh(t2/r) - asinh(t1/r))
+    - Omega: d is the signed distance of the foot c to the edge line, t1
+    and t2 the ends along it, r = sqrt(1 + d^2), Omega the cell's solid
+    angle (van Oosterom-Strackee triangles).
+    """
+    normals, areas = _tile_faces()
+    volume = 1.0 / 24.0
+    pts = [s * np.cross(normals[f], normals[g]) for f, g in itertools.combinations(range(4), 2)
+           for s in (1.0, -1.0)]
+    pts = [p / np.linalg.norm(p) for p in pts]
+    total = 0.0
+    for sigma in itertools.product((1.0, -1.0), repeat=4):
+        sigma = np.array(sigma)
+        corners = [p for p in pts if np.all(sigma * (normals @ p) > -1e-12)]
+        if len(corners) < 3:
+            continue
+        a = -(areas * (sigma < 0)) @ normals / (3.0 * volume)
+        c = a / np.linalg.norm(a)
+        e1 = np.cross(c, corners[0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(c, e1)
+        ys = [p / (c @ p) for p in corners]
+        mid = np.mean(ys, axis=0)
+        ys.sort(key=lambda y: math.atan2((y - mid) @ e2, (y - mid) @ e1))
+        phi = 0.0
+        omega = 0.0
+        for i, y in enumerate(ys):
+            z = ys[(i + 1) % len(ys)]
+            u = (z - y) / np.linalg.norm(z - y)
+            d = (y - c) @ np.cross(u, c)  # > 0 when c lies left of the edge
+            r = math.sqrt(1.0 + d * d)
+            phi += d * (math.asinh((z - c) @ u / r) - math.asinh((y - c) @ u / r))
+            if 0 < i < len(ys) - 1:
+                p, q, o = (w / np.linalg.norm(w) for w in (ys[0], y, z))
+                omega += 2.0 * math.atan2(abs(p @ np.cross(q, o)), 1.0 + p @ q + q @ o + o @ p)
+        total += (phi - omega) / (a @ a)
+    return volume / 40.0 * total
+
+
+def test_smeared_tile_direct_term_matches_the_closed_edge_sum():
+    volume, _, direct, sphere = tiling._covariogram_sphere_moments()
+    assert volume / 40.0 * direct == pytest.approx(_direct_term_by_edge_sums(), rel=1e-12)
+    assert sphere[0] == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+
+def test_mollifier_difference_moments_match_single_radial_sums():
+    # E|X-X'|^2 = 2 E|X|^2 and E|X-X'|^4 = 2 E|X|^4 + (10/3) (E|X|^2)^2
+    # for independent radial X, X'; odd m against a product rule on a >= b
+    _, u, w = field._radial_rule()
+    p = 4.0 * math.pi * tiling.mollifier_value(u) * u * u
+    mu2, mu4 = np.sum(p * u**2 * w), np.sum(p * u**4 * w)
+    got = dict(zip(range(2, 6), tiling._mollifier_difference_moments()))
+    assert got[2] == pytest.approx(2.0 * mu2, rel=1e-14)
+    assert got[4] == pytest.approx(2.0 * mu4 + 10.0 / 3.0 * mu2**2, rel=1e-14)
+    x, wx = np.polynomial.legendre.leggauss(64)
+    t, wt = 0.5 * (x + 1.0), 0.5 * wx
+    a, wa = u.ravel()[:, None], w.ravel()[:, None]
+    b = a * t  # b = a t on [0, a]
+    pa = 4.0 * math.pi * tiling.mollifier_value(a) * a * a
+    pb = 4.0 * math.pi * tiling.mollifier_value(b) * b * b
+    for m in (3, 5):
+        mean = ((a + b) ** (m + 2) - (a - b) ** (m + 2)) / (2.0 * a * b * (m + 2))
+        want = 2.0 * np.sum(pa * wa * a * (pb * mean) @ wt)
+        assert got[m] == pytest.approx(want, rel=1e-12)
+
+
+def test_smeared_tetra_hartree_scales_as_rho0_squared_ell_to_the_fifth():
+    unit = field.Density.smeared_tetra(1.0, 2.0, 0.5).hartree() / 2.0**5
+    for rho0, ell, delta in ((3.0, 4.0, 1.0), (0.5, 6.0, 1.5), (2.0, 0.5, 0.125)):
+        got = field.Density.smeared_tetra(rho0, ell, delta).hartree()
+        assert got / (rho0**2 * ell**5) == pytest.approx(unit, rel=1e-14)
+
+
+def test_smeared_tetra_hartree_lies_within_the_grid_route_spread():
+    from ldacert import coulomb
+
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    closed = rho.hartree()
+    grid = {n: coulomb.hartree(field.density_to_field(rho, field.default_grid(rho, n)))
+            for n in (128, 192)}
+    assert abs(closed - grid[192]) <= abs(grid[128] - grid[192])
+
+
+def test_smeared_tetra_covariogram_expansion_holds_as_delta_nears_half_ell():
+    # g(r w) = V (1 - r s)^3 must hold for r < 2 rs: 2 rs s_max <= 1, with
+    # s_max (unit tile) checked against s on 200,000 random directions
+    _, s_max, _, _ = tiling._covariogram_sphere_moments()
+    normals, areas = _tile_faces()
+    w = np.random.default_rng(9).normal(size=(200_000, 3))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    s = np.maximum(-(w @ normals.T), 0.0) @ areas / (3.0 / 24.0)
+    assert s_max * (1.0 - 1e-3) <= s.max() <= s_max * (1.0 + 1e-14)
+    for ell in (1.0, 2.0, 7.0):
+        rs = tiling.TilingConfig(ell, math.nextafter(ell / 2.0, 0.0)).smear_radius
+        assert 2.0 * rs * s_max / ell <= 0.2829
 
 
 def test_grid_round_trip(tmp_path):
