@@ -192,19 +192,15 @@ def certify(rho, params, model=None, n_grid=None):
     """Build the certificate of a density: functionals, optimal eps, band.
 
     model defaults to the kinetic-plus-exchange power family for params.q.
-    Analytic families give every functional and the Hartree term in closed
-    form and are not sampled; a grid density is certified as it is.  Any
-    other density (a smeared tile) is sampled once, on
-    default_grid(rho, n_grid), and its functionals are those of the grid
-    density of the samples.  The Hartree term always comes from the density
-    as given, so a smeared tile's is its closed form and runs no transform.
+    The functionals and the Hartree term come from the density as given:
+    closed forms and radial quadratures for a gaussian and a compact bump,
+    the closed form and the cached tile table for a smeared tile, so none
+    of these is sampled; a grid density is certified from its own samples.
+    Nothing reads n_grid; it is kept for callers that pass it.
     """
     _require_params(params)
     if model is None:
         model = bounds.tf_dirac_model(params.q)
-    hartree = rho.hartree
-    if rho.needs_sampling:
-        rho = field.Density.grid(field.density_to_field(rho, field.default_grid(rho, n_grid)))
     F = field.functionals(rho, theta=params.theta, p=params.p)
     zero = F.mass == 0.0 and F.kin == 0.0 and F.thg == 0.0
     if zero:
@@ -216,7 +212,7 @@ def certify(rho, params, model=None, n_grid=None):
             band=(0.0, 0.0), advisory_envelope=(0.0, 0.0),
             flags=("exactly_flat",),
         )
-    F = replace(F, hartree=hartree())
+    F = replace(F, hartree=rho.hartree())
     lda = band_center(F, params, model)
     eps_star, total, flat = _optimum(F, params)
     if flat:

@@ -15,8 +15,9 @@ Conventions used throughout the package:
 The analytic families (gaussian, compact-bump) carry closed-form or
 radial-quadrature functionals and Coulomb terms, so grid error never
 enters when an exact reference is wanted and certify samples nothing.
-The smeared tile's Hartree term is closed-form too, from the covariogram
-of the simplex; its functionals still come from samples.
+The smeared tile needs no grid either: its Hartree term is closed-form,
+from the covariogram of the simplex, and its functionals are sums over
+one cached, scale-free quadrature table of the tile (tiling._tile_table).
 Every radial integral of the unit bump exp(-1/(1-u^2)), here and in
 tiling's mollifier, is a sum over one composite Gauss-Legendre rule.
 """
@@ -325,16 +326,12 @@ class Density:
     hartree() and kernel_moment(kvecs, n) take the grid term of
     self.sample(self.default_grid(n)).  The analytic families override
     those they have in closed form or by radial quadrature, and the smeared
-    tile overrides hartree(), so only a grid density takes the grid
-    Hartree term.
+    tile overrides functionals() and hartree(), so only a grid density
+    takes the grid functionals and the grid Hartree term.
     """
 
     #: the grid a density is tied to; only sampled grid densities have one
     own_grid = None
-    #: whether certify samples the density once and takes the functionals
-    #: of the grid density of those samples (the smeared tile); the
-    #: Hartree term always comes from the density itself
-    needs_sampling = True
 
     def _require_finite(self):
         # every parameter of an analytic family is a number
@@ -371,8 +368,6 @@ class Gaussian(Density):
 
     sigma: float
     mass: float = 1.0
-
-    needs_sampling = False
 
     def __post_init__(self):
         self._require_finite()
@@ -445,8 +440,6 @@ class CompactBump(Density):
 
     radius: float
     mass: float = 1.0
-
-    needs_sampling = False
 
     def __post_init__(self):
         self._require_finite()
@@ -522,6 +515,32 @@ class SmearedTetra(Density):
         xi.values *= self.rho0  # xi lies in [0, 1] and rho0 >= 0
         return xi
 
+    def functionals(self, theta, p):
+        """The tile's functionals with no grid: rho0 xi = rho0 u(x/rs) with
+        rs = delta/10 and u = 1_T * eta_1 on the tile scaled to lam = ell/rs
+        smearing radii, so every integral but the mass is rho0^a rs^(3 - q)
+        I_G(lam), q the number of derivatives and I_G a sum over the one
+        scale-free table of tiling._tile_integrals.  The family's
+        delta < ell/2 keeps lam above 20, past the table's bound 1/r_in
+        (about 7.66).  The mass is rho0 ell^3/24, the tile's volume.
+        """
+        from . import tiling
+
+        rs = tiling.TilingConfig(self.ell, self.delta).smear_radius
+        integrals = tiling._tile_integrals(self.ell / rs, theta, p)
+        rho0 = self.rho0
+        return FunctionalSet(
+            mass=rho0 * self.ell**3 / 24.0,
+            l2=rho0**2 * rs**3 * integrals["l2"],
+            l43=rho0 ** (4.0 / 3.0) * rs**3 * integrals["l43"],
+            l53=rho0 ** (5.0 / 3.0) * rs**3 * integrals["l53"],
+            kin=rho0 * rs * integrals["kin"],
+            tv=rho0 * rs**2 * integrals["tv"],
+            thg=rho0 ** (theta * p) * rs ** (3.0 - p) * integrals["thg"],
+            theta=theta,
+            p=p,
+        )
+
     def hartree(self):
         """D(rho0 xi) in closed form, xi = 1_T * eta_rs with rs = delta/10.
 
@@ -560,8 +579,6 @@ class GridDensity(Density):
     """A density given by its samples, tied to their grid."""
 
     field: ScalarField
-
-    needs_sampling = False
 
     def __post_init__(self):
         if np.any(self.field.values < 0):

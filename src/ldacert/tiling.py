@@ -17,7 +17,15 @@ indicator of a convex polyhedron with a radial kernel reduces to solid
 angle terms plus one single integral per face edge, resolved with cubic
 Hermite tables of the mollifier's radial profiles, built like its norm on
 field's one radial rule.  No volumetric quadrature is involved, so point
-evaluation costs O(faces) and is exact to table accuracy (about 1e-13).
+evaluation costs O(faces).  Away from the edge lines it is exact to table
+accuracy (about 1e-13); within a fraction of the smearing radius of an
+edge line the 24-node rule of the edge integrals errs by up to 1e-4 in
+the value and 3e-4 per smearing radius in the gradient (against 400
+nodes).
+
+The integrals of a smeared tile over space are sums over one cached
+table of such values at the quadrature nodes of the scale-free tile
+(_tile_table), so they sample no grid.
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
@@ -373,7 +381,8 @@ def _reach_box(vertex_key, rs):
     return box
 
 
-_GL_X, _GL_W = leggauss(24)
+#: Gauss-Legendre rules of the edge integrals, by order
+_edge_rule = lru_cache(maxsize=4)(leggauss)
 _NUDGE_DIR = np.array([0.2319871039203040, 0.5483715558798305, 0.8034840276971138])
 _NUDGE_DIR = _NUDGE_DIR / np.linalg.norm(_NUDGE_DIR)
 
@@ -408,7 +417,7 @@ def _edge_distances(pts, ea, edge_m):
     return np.einsum("nfes,fes->nfe", ea[None, :, :, :] - pts[:, None, None, :], edge_m)
 
 
-def convolved_indicator(vertices, rs, points, want_grad=False):
+def convolved_indicator(vertices, rs, points, want_grad=False, edge_nodes=24):
     """Evaluate u = 1_T * g at points, where g is the radial bump of support rs.
 
     T is the tetrahedron with the given vertices and g = eta_delta with
@@ -419,7 +428,8 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
             + sum_f h_f [ Q_c(|h_f|) Theta_f - sum_e sign(e) int Q_c ],
 
     with Theta_f the winding-angle sum of face f around the foot point
-    and the edge integrals taken in the fan angle psi.  The gradient
+    and the edge integrals taken in the fan angle psi, by an edge_nodes
+    Gauss-Legendre rule on each side of the foot of the edge.  The gradient
     (returned when want_grad is set) replaces Q_c by the profile K_g and
     carries a factor -n_f.  u and its gradient vanish outside
     T' = {h_f < rs for every f}, so points outside the box of T' are set
@@ -431,8 +441,12 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     near the vertices and edge lines of T, so the absolute error there
     behaves like machine epsilon times scale/dist (about 1e-10 at
     dist = 1e-6 scale).  Points exactly on a face plane are displaced by
-    a 3e-12 scale nudge first; generic points evaluate to 1e-14.
+    a 3e-12 scale nudge first; generic points evaluate to 1e-14.  Within a
+    fraction of rs of an edge line the default 24-node edge rule errs by
+    up to 1e-4 in u and 3e-4/rs in the gradient; 48 nodes by 3e-6 in u,
+    96 by 2e-7 (against 400 nodes, on tile 1 with edges of 5 to 10 rs).
     """
+    gl_x, gl_w = _edge_rule(edge_nodes)
     verts = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = len(pts)
@@ -524,11 +538,11 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
                 p1 = np.arctan(t1 / em)
                 ctr = 0.5 * (p1 + p0)
                 rad = 0.5 * (p1 - p0)
-                psi = ctr[:, None] + rad[:, None] * _GL_X[None, :]
+                psi = ctr[:, None] + rad[:, None] * gl_x[None, :]
                 targ = np.sqrt(b2m[:, None] + e2m[:, None] * np.tan(psi) ** 2)
-                acc_q += rad * (_qc_profile(targ, rs) @ _GL_W)
+                acc_q += rad * (_qc_profile(targ, rs) @ gl_w)
                 if want_grad:
-                    acc_g += rad * (_kg_profile(targ, rs) @ _GL_W)
+                    acc_g += rad * (_kg_profile(targ, rs) @ gl_w)
             esum[idx] += se[idx] * acc_q
             if want_grad:
                 gsum[idx] += se[idx] * acc_g
@@ -541,6 +555,204 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
         grad[rows] = gvec
         return u, grad
     return u
+
+
+# ---------------------------------------------------------------------------
+# integrals over a smeared tile, from one scale-free table
+
+#: Gauss-Legendre orders of the tile table: h per panel on the faces and
+#: strips, d on the strips, h per panel on the corners, and s and t there
+_TILE_ORDERS = (12, 12, 6, 9)
+#: the h panels, graded toward the outer edge of the support (h = 1)
+_TILE_PANELS = (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
+#: the tile scale, in smearing radii, at which the table is evaluated
+_TABLE_LAMBDA = 10.0
+#: the edge rule of convolved_indicator at the table's nodes
+_TABLE_EDGE_NODES = 32
+#: (face, multiplicity) of the faces the table evaluates
+_FACE_COPIES = ((0, 1), (1, 1), (2, 2))
+#: the gradient integrands divide by u; nodes with u at or below this read 0
+_LIVE_U = 1e-12
+#: thg carried by nodes with u at or below this must stay below 1e-4 of it
+_SUPPORT_EDGE_U = 1e-10
+
+
+def _panel_rule(n, panels):
+    """n Gauss-Legendre nodes on each panel; (nodes, weights)."""
+    x, w = leggauss(n)
+    a, b = np.array(panels[:-1])[:, None], np.array(panels[1:])[:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+
+
+@lru_cache(maxsize=1)
+def _incenter():
+    """Incenter and inradius of tile 1 at ell = 1: h_g(c) = -r_in on every face."""
+    normals, offsets = _face_frames(_vertex_key(unit_cube_tetrahedra()[0].vertices))[:2]
+    *center, r_in = np.linalg.solve(np.column_stack([normals, np.ones(4)]), offsets)
+    return np.array(center), float(r_in)
+
+
+@lru_cache(maxsize=2)
+def _tile_table(orders):
+    """(u, |grad u|, weights) at the quadrature nodes of u = 1_T * eta_1,
+    T tile 1 scaled to lam smearing radii, in units of the smearing radius.
+
+    int G(u, |grad u|) = sum_i G(u_i, g_i) (weights_i . (1, lam, lam^2,
+    lam^3)) for every lam > 1/r_in (r_in the inradius of tile 1 at ell = 1,
+    about 0.1306), because of this split of T' = {h_g < 1 for every face g}:
+
+    * the inner tetrahedron {h_g <= -1}, where u = 1: volume
+      V (lam - 1/r_in)^3, one node;
+    * per face f the frustum y = c + (1 + h/rho)(z - c), z on face f, h in
+      (-1, 1), c the incenter and rho = lam r_in; h = h_f(y), and the
+      section at h is face f of T_h, the tile with every face pushed out
+      by h: the unit face scaled by lam + h/r_in.  That section splits into
+      a core, where every other h_g <= -1 and u is the profile phi(h); a
+      strip body along each side, within (1 + h)/sin(alpha) of it (alpha
+      the dihedral angle there, 45, 60 or 90 degrees), where u depends on
+      h and the distance d to the side only; and a parallelogram at each
+      corner, where u depends on the position relative to the corner of
+      T_h only.  rho > 1 keeps the core a triangle (with sides parallel to
+      the face's) and the fourth face out of every corner's reach.
+
+    The core's area is A_f (lam + h/r_in - c_f(h))^2 and a strip body's
+    length at d is linear in lam, so the weights are polynomials in lam
+    and the nodes are scale-free: u and its gradient are evaluated once,
+    by convolved_indicator, at _TABLE_LAMBDA.  The h rule is the orders'
+    Gauss rule on each of _TILE_PANELS, split at 0 where 1_T jumps; a
+    strip's d rule starts where u does (distance 1 from the edge, for
+    h > 0); a corner takes a tensor rule in the parallelogram.
+
+    Against doubled orders the default table agrees to 3e-7 relative in
+    kin and tv, 1e-6 in thg (4e-6 at theta = theta_min + 0.02 of each
+    variant's gate, p = 3.5 and 5.6) and 2e-8 in l2, l43 and l53, for lam
+    from 20 to 400; int u is V lam^3 within 3e-9 relative.  The nodes take
+    a 32-node edge rule: the default 24 nodes err by up to 1e-4 in u near
+    edge lines, which moved int u by 3e-8 relative at lam = 20, and 32
+    nodes stay within 2e-7 of a 200-node rule in every integral.
+    """
+    n_h, n_d, n_hc, n_c = orders
+    tile = unit_cube_tetrahedra()[0]
+    normals, offsets, ea, eb, edge_u, edge_m = _face_frames(_vertex_key(tile.vertices))
+    center, r_in = _incenter()
+    lam = _TABLE_LAMBDA
+    c, rho = lam * center, lam * r_in
+    areas = 0.5 * np.linalg.norm(np.cross(ea[:, 1] - ea[:, 0], ea[:, 2] - ea[:, 0]), axis=1)
+    hs, hw = _panel_rule(n_h, _TILE_PANELS)
+    hc, hcw = _panel_rule(n_hc, _TILE_PANELS)
+    x, xw = _panel_rule(n_d, (0.0, 1.0))
+    s, sw = _panel_rule(n_c, (0.0, 1.0))
+    s, t, st_w = s.repeat(n_c), np.tile(s, n_c), np.outer(sw, sw).ravel()
+
+    def poly(*coefficients):
+        # weight rows of coefficients of 1, lam, ..., zero-padded to lam^3
+        cols = [np.ravel(a) for a in coefficients]
+        return np.column_stack(cols + [np.zeros_like(cols[0])] * (4 - len(cols)))
+
+    pts = [c[None]]
+    weights = [tile.volume * np.array([[-r_in**-3, 3.0 * r_in**-2, -3.0 / r_in, 1.0]])]
+    # tile 1 is symmetric under z -> -z, which swaps faces 2 and 3, so
+    # face 2 counts twice and face 3 is not evaluated
+    for f, copies in _FACE_COPIES:
+        # side k of face f runs from corner k to corner k + 1; the face
+        # across it is the one opposite the face's third corner k + 2
+        across = [int(np.argmin(np.linalg.norm(tile.vertices - ea[f, (k + 2) % 3], axis=1)))
+                  for k in range(3)]
+        cos_a = -normals[across] @ normals[f]  # all >= 0: no dihedral angle is obtuse
+        sin_a = np.sqrt(1.0 - cos_a**2)
+        sides = np.linalg.norm(eb[f] - ea[f], axis=1)
+        inward = -edge_m[f]
+        # the face's angle at corner k, between sides k - 1 and k
+        cos_b = -np.sum(edge_u[f] * np.roll(edge_u[f], 1, axis=0), axis=1)
+        sin_b = np.sqrt(1.0 - cos_b**2)
+
+        def section(h):
+            # strip widths, the core's scale offset, and the corners of T_h's face
+            w = (1.0 + h)[:, None] / sin_a
+            return (w, h / r_in - w @ sides / (2.0 * areas[f]),
+                    c + (1.0 + h / rho)[:, None, None] * (lam * ea[f] - c))
+
+        w, offset, corners = section(hs)
+        pts.append(c + (rho + hs)[:, None] * normals[f])
+        weights.append(copies * hw[:, None] * areas[f] * poly(offset**2, 2.0 * offset, np.ones_like(hs)))
+        for k in range(3):
+            after, before = (k + 1) % 3, (k + 2) % 3
+            # u > 0 only within distance 1 of the edge: d above h cot(alpha/2) - sqrt(1 - h^2)
+            d_lo = np.maximum(hs * (1.0 + cos_a[k]) / sin_a[k] - np.sqrt(1.0 - hs**2), 0.0)
+            span = w[:, k] - d_lo
+            d = d_lo[:, None] + span[:, None] * x
+            base = corners[:, k, None, :] + d[..., None] * inward[k]
+            # the body at distance d ends where the strips of the other two sides begin
+            ends = [(w[:, j, None] - np.sum((base - corners[:, j, None, :]) * inward[j], axis=2))
+                    / (inward[j] @ edge_u[f, k]) for j in (before, after)]
+            pts.append((base + (0.5 * sum(ends))[..., None] * edge_u[f, k]).reshape(-1, 3))
+            wd = (copies * hw * span)[:, None] * xw
+            length = offset[:, None] * sides[k] + (w[:, k, None] - d) * (
+                cos_b[k] / sin_b[k] + cos_b[after] / sin_b[after])
+            weights.append(poly(wd * length, wd * sides[k]))
+        w, _, corners = section(hc)
+        for k in range(3):
+            prev = (k - 1) % 3
+            along, back = w[:, prev] / sin_b[k], w[:, k] / sin_b[k]
+            pts.append((corners[:, k, None, :]
+                        + (along[:, None] * s)[..., None] * edge_u[f, k]
+                        - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
+            weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
+    u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True,
+                                  edge_nodes=_TABLE_EDGE_NODES)
+    table = (u, np.sqrt(np.einsum("ij,ij->i", grad, grad)), np.concatenate(weights))
+    for a in table:
+        a.flags.writeable = False  # cached: every caller shares it
+    return table
+
+
+def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
+    """Integrals over space of u = 1_T * eta_1, T tile 1 scaled to lam
+    smearing radii, in units of the smearing radius rs.  A dict:
+
+        mass = int u          l2 = int u^2
+        l43  = int u^(4/3)    l53 = int u^(5/3)
+        kin  = int |grad u|^2 / (4 u)
+        tv   = int |grad u|
+        thg  = int (theta u^(theta - 1) |grad u|)^p
+
+    so that rho0 u(x/rs) has the functionals rho0^a rs^(3 - q) I, with q
+    the number of derivatives.  From _tile_table; all 24 tiles are
+    congruent, so every tile of every size reads the same table.
+
+    kin and thg drop the nodes with u <= 1e-12, where
+    convolved_indicator's roundoff (up to 6e-16 where the exact u is 0) is
+    no longer small against u.  The thg integrand there is O(u^(theta p)) times a power of
+    |grad u|/u: on the face profile at (theta, p) = (0.258, 5.6), near the
+    classical gate, the region u < 1e-12 holds 2e-8 of the integral and
+    u < 1e-10 holds 3e-6.  As theta p nears its gate and p grows, the
+    integrand's peak moves out toward u = 0, so thg raises ArithmeticError
+    when the nodes with u <= 1e-10 carry more than 1e-4 of it.  On the
+    smallest tiles (lam = 20) that happens from p = 7 on at theta p = 4/3,
+    and from p = 12 on at theta p = 2.
+    """
+    if not lam * _incenter()[1] > 1.0:
+        raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
+    u, g, weights = _tile_table(orders)
+    w = weights @ lam ** np.arange(4.0)
+    live = u > _LIVE_U
+    ul, gl, wl = u[live], g[live], w[live]
+    terms = (theta * ul ** (theta - 1.0) * gl) ** p * wl
+    thg = float(np.sum(terms))
+    if np.sum(terms[ul <= _SUPPORT_EDGE_U]) > 1e-4 * thg:
+        raise ArithmeticError(
+            f"|grad u^{theta:g}|^{p:g} peaks too near the edge of the tile's support")
+    # elementwise products and a pairwise sum: a BLAS dot of this length
+    # costs milliseconds where its threads are shared
+    return {
+        "mass": float(np.sum(u * w)),
+        "l2": float(np.sum(u**2 * w)),
+        "l43": float(np.sum(u ** (4.0 / 3.0) * w)),
+        "l53": float(np.sum(u ** (5.0 / 3.0) * w)),
+        "kin": float(np.sum(gl**2 / (4.0 * ul) * wl)),
+        "tv": float(np.sum(g * w)),
+        "thg": thg,
+    }
 
 
 def _tile_distance(vertices, pts, cutoff):
@@ -606,28 +818,20 @@ def xi_grad_values(cfg, j, points):
 
 
 # ---------------------------------------------------------------------------
-# tile integrals (midpoint rule on the support box of the tile)
+# tile integrals
 
 
-def _support_box_grid(cfg, j, n):
-    """Cell-centred midpoint grid over the support box of chi_j.
-
-    n is the node count along the longest axis (None picks that
-    automatically, about 2.6 cells per smearing radius); the other axes
-    get their share, rounded to nearest.  The integrands built from chi_j
-    vanish with all derivatives on the box boundary, yet the automatic
-    grid does not resolve the sqrt-gradient integrand: one node fewer on
-    each short axis moves sqrt_chi_grad_norm by -4.9e-3 relative at
-    (ell, delta) = (4, 0.5) and by -4.7e-3 at (6, 0.5).
+def _support_box_grid(cfg, j):
+    """Cell-centred midpoint grid over the support box of chi_j, with 128
+    nodes along its longest axis; the other axes get their share, rounded
+    to nearest.  chi_j vanishes with all derivatives on the box boundary.
     """
     verts = _tile_vertices(cfg, j, True)
     pad = 1.001 * cfg.smear_radius
     lo = verts.min(axis=0) - pad
     hi = verts.max(axis=0) + pad
     ext = hi - lo
-    if n is None:
-        n = int(np.clip(math.ceil(2.6 * ext.max() / cfg.smear_radius), 96, 512))
-    counts = np.maximum(16, np.rint(n * ext / ext.max()).astype(int))
+    counts = np.maximum(16, np.rint(128 * ext / ext.max()).astype(int))
     spacing = ext / counts
     return field.GridSpec(tuple(int(c) for c in counts), tuple(spacing), tuple(lo + 0.5 * spacing))
 
@@ -635,24 +839,22 @@ def _support_box_grid(cfg, j, n):
 def chi_mass(cfg, j):
     """Quadrature value of the integral of chi_j (exact value ell^3/24), on
     the support box grid with 128 nodes along its longest axis."""
-    return field.integrate(sample_field(cfg, j, _support_box_grid(cfg, j, 128)))
+    return field.integrate(sample_field(cfg, j, _support_box_grid(cfg, j)))
 
 
 def sqrt_chi_grad_norm(cfg, j):
     """Dirichlet integral of sqrt(chi_j), i.e. int |grad sqrt(chi_j)|^2.
 
-    Midpoint rule on the automatic support box grid, evaluated at its
-    nodes inside T' (chi_j and its gradient vanish at the others).  That
-    grid leaves a quadrature error of order 5e-3 relative; see
-    _support_box_grid.
+    chi_j = s^3 u(x/rs) with u = 1_T * eta_1 on the shrunk tile, which
+    spans lam = (1 - eps) ell/rs > 10 smearing radii, so the integral is
+    s^3 rs kin of _tile_integrals at lam.  All 24 tiles are congruent, so
+    one value serves every j.
     """
-    spec = _support_box_grid(cfg, j, None)
-    verts = _tile_vertices(cfg, j, True)
-    pts = _tile_nodes(verts, cfg.smear_radius, spec)[2]
-    u, g = convolved_indicator(verts, cfg.smear_radius, pts, want_grad=True)
-    pos = u > 1e-150
-    dens = np.einsum("ij,ij->i", g[pos], g[pos]) / (4.0 * u[pos])
-    return spec.cell_volume * float(np.sum(dens)) / (1.0 - cfg.eps) ** 3
+    if not 1 <= j <= 24:
+        raise ValueError(f"tile index must lie in 1..24, got {j}")
+    rs = cfg.smear_radius
+    kin = _tile_integrals((1.0 - cfg.eps) * cfg.ell / rs, 0.5, 2.0)["kin"]
+    return rs * kin / (1.0 - cfg.eps) ** 3
 
 
 # ---------------------------------------------------------------------------

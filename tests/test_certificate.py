@@ -124,14 +124,17 @@ def test_certify_gaussian_frozen():
 
 
 @pytest.mark.parametrize("rho", [field.Density.gaussian(1.3, 0.7),
-                                 field.Density.compact_bump(1.3, 1.0)],
-                         ids=["gaussian", "compact_bump"])
+                                 field.Density.compact_bump(1.3, 1.0),
+                                 field.Density.smeared_tetra(1.0, 2.0, 0.5)],
+                         ids=["gaussian", "compact_bump", "smeared_tetra"])
 def test_certify_analytic_samples_nothing(monkeypatch, rho):
     def forbidden(*args, **kwargs):
         raise AssertionError("an analytic certificate took the grid route")
 
+    field.functionals(rho)  # a smeared tile builds its table here, on first use
     for module, name in ((field, "density_to_field"), (coulomb, "density_to_field"),
-                         (coulomb, "hartree")):
+                         (coulomb, "hartree"), (tiling, "sample_field"),
+                         (tiling, "convolved_indicator")):
         monkeypatch.setattr(module, name, forbidden)
     cert = certificate.certify(rho, QUANTUM)
     assert cert.functionals.hartree == rho.hartree() > 0.0
@@ -157,14 +160,13 @@ def test_report_json_determinism():
     assert "kappa" not in doc["params"]
 
 
-def test_certify_functionals_follow_n_grid():
-    """certify(..., n_grid=n) takes every functional from the n-grid samples,
-    and the Hartree term from the tile's closed form, whatever n is."""
+def test_certify_ignores_n_grid():
+    """certify takes a smeared tile's functionals from the tile table and its
+    Hartree term from the closed form, so n_grid changes nothing."""
     rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
-    spec = field.default_grid(rho, 40)
     cert = certificate.certify(rho, QUANTUM, n_grid=40)
-    sampled = field.Density.grid(field.density_to_field(rho, spec))
-    want = field.functionals(sampled, theta=QUANTUM.theta, p=QUANTUM.p)
+    assert cert == certificate.certify(rho, QUANTUM)
+    want = field.functionals(rho, theta=QUANTUM.theta, p=QUANTUM.p)
     assert dataclasses.replace(cert.functionals, hartree=None) == want
     assert cert.functionals.hartree == rho.hartree()
 
@@ -186,13 +188,12 @@ def _grid_gaussian():
 
 
 @pytest.mark.parametrize("make,n_grid,sampled", [
-    (lambda: field.Density.smeared_tetra(1.0, 2.0, 0.5), 40, True),
     (_grid_gaussian, None, False),
-], ids=["smeared_tetra", "grid"])
+], ids=["grid"])
 def test_certify_samples_each_density_once(monkeypatch, make, n_grid, sampled):
-    # the analytic families are not sampled at all; see
-    # test_certify_analytic_samples_nothing.  A grid density is certified
-    # as it is, from its own samples.
+    # the analytic families and the smeared tile are not sampled at all;
+    # see test_certify_analytic_samples_nothing.  A grid density is
+    # certified as it is, from its own samples.
     rho = make()
     original = field.density_to_field
     calls = []

@@ -32,21 +32,21 @@ GAUSS_JSON = (
 
 TETRA = "builtin:smeared-tetra,rho0=1,ell=2,delta=0.5"
 
-# the whole stdout of `certify --density TETRA`: the functionals take the
-# grid route on the tile's samples, and "hartree" is the tile's closed form
+# the whole stdout of `certify --density TETRA`: the functionals come from
+# the tile table, and "hartree" is the tile's closed form
 TETRA_JSON = (
     '{"params": {"p": 4, "theta": 0.5, "C": 1, "q": 1, "variant": "quantum", '
     '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
     '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
-    '1.6399999999999999}, "functionals": {"mass": 0.33334185397436999, "l2": '
-    '0.29830109672559074, "l43": 0.31779665003905977, "l53": '
-    '0.30671233749118071, "kin": 49.908963487750839, "tv": 3.537338269623223, '
-    '"thg": 11294.464963326491, "theta": 0.5, "p": 4, "hartree": '
-    '0.13462435100956757}, "lda": 2.5611554035150594, "epsilon_star": '
-    '8.8890110980137251, "rhs": {"bulk": 5.6146811987540879, "kin": '
-    '55.523644686529316, "theta": 6.6079072151625063e-11, "total": '
-    '61.138325885349488}, "band": [-58.577170481834429, 63.699481288864547], '
-    '"advisory_envelope": [2.2746803992641889, 3180.7884588957686], "flags": '
+    '1.6399999999999999}, "functionals": {"mass": 0.33333333333333331, "l2": '
+    '0.2982895180142156, "l43": 0.31779112647552482, "l53": '
+    '0.30670308969745341, "kin": 54.578965689749396, "tv": '
+    '3.5607809727244333, "thg": 13842.279471373546, "theta": 0.5, "p": 4, '
+    '"hartree": 0.13462435100956757}, "lda": 2.5610751838051904, '
+    '"epsilon_star": 9.2957349831121974, "rhs": {"bulk": 5.8713986354044856, '
+    '"kin": 60.450364324596926, "theta": 4.1395354657700508e-11, "total": '
+    '66.321762960042804}, "band": [-63.760687776237617, 68.882838143847991], '
+    '"advisory_envelope": [2.2746051587222462, 3452.2359682064057], "flags": '
     '["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 

@@ -139,6 +139,76 @@ def test_smeared_tetra_mass():
     assert F.mass == pytest.approx(6.0**3 / 24.0, rel=1e-4)
 
 
+def test_smeared_tile_functionals_match_exact_gradient_grid_sums():
+    """The table route against a midpoint sum on 400^3 nodes of (1, 2, 0.5)
+    with the closed-form gradient of convolved_indicator.  The sums on
+    400^3, 500^3 and 600^3 spread by 0.015 in kin (54.567 to 54.582), and
+    give tv 3.56086, 3.56077, 3.56077 and l2 0.29828960, 0.29828955,
+    0.29828951."""
+    rho = field.Density.smeared_tetra(1.0, 2.0, 0.5)
+    F = field.functionals(rho)
+    cfg = tiling.TilingConfig(rho.ell, rho.delta)
+    spec = field.default_grid(rho, 400)
+    _, _, pts = tiling._tile_nodes(tiling._tile_vertices(cfg, 1, False), cfg.smear_radius, spec)
+    u, g = tiling.xi_grad_values(cfg, 1, pts)
+    g2 = np.einsum("ij,ij->i", g, g)
+    live = u > 0.0
+    cell = spec.cell_volume
+    assert F.kin == pytest.approx(cell * np.sum(g2[live] / (4.0 * u[live])), rel=5e-4)
+    assert F.tv == pytest.approx(cell * np.sum(np.sqrt(g2)), rel=5e-5)
+    assert F.l2 == pytest.approx(cell * np.sum(u * u), rel=1e-6)
+    assert F.mass == rho.ell**3 / 24.0
+
+
+# the (ell, delta) pairs of the tile reference tests: TETRA, a tile three
+# times larger, delta near ell/2 (lam = 20.2, the smallest tiles), and
+# ell/delta = 40
+TILE_PAIRS = [(2.0, 0.5), (6.0, 1.5), (4.0, 1.98), (20.0, 0.5)]
+DOUBLED = tuple(2 * n for n in tiling._TILE_ORDERS)
+
+
+@pytest.mark.parametrize("ell,delta", TILE_PAIRS)
+def test_smeared_tile_table_against_doubled_orders(ell, delta):
+    lam = ell / (delta / 10.0)
+    for theta, p in ((0.5, 4.0), (0.5, 2.0)):
+        got = tiling._tile_integrals(lam, theta, p)
+        want = tiling._tile_integrals(lam, theta, p, DOUBLED)
+        for name in ("kin", "tv", "thg"):
+            assert got[name] == pytest.approx(want[name], rel=1e-5), name
+        for name in ("l2", "l43", "l53"):
+            assert got[name] == pytest.approx(want[name], rel=1e-7), name
+
+
+@pytest.mark.parametrize("ell,delta", TILE_PAIRS)
+def test_smeared_tile_table_mass_is_the_tile_volume(ell, delta):
+    # int (u - 1_T) = 0: the table's integral of u is the volume V lam^3
+    lam = ell / (delta / 10.0)
+    volume = tiling.unit_cube_tetrahedra()[0].volume * lam**3
+    assert tiling._tile_integrals(lam, 0.5, 4.0)["mass"] == pytest.approx(volume, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [3.5, 5.6])
+@pytest.mark.parametrize("theta_p", [2.0, 4.0 / 3.0], ids=["quantum_xc", "classical"])
+def test_smeared_tile_thg_converges_at_the_gate_corners(theta_p, p):
+    """theta = theta_min + 0.02, the lowest theta a certificate of each
+    variant draws in the benchmark; the grid route is 51% low there."""
+    theta = theta_p / p + 0.02
+    for ell, delta in TILE_PAIRS:
+        lam = ell / (delta / 10.0)
+        got = tiling._tile_integrals(lam, theta, p)["thg"]
+        want = tiling._tile_integrals(lam, theta, p, DOUBLED)["thg"]
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-4)
+
+
+def test_smeared_tile_thg_raises_where_its_peak_nears_the_support_edge():
+    # a classical certificate's parameters, near its gate theta p = 4/3
+    rho = field.Density.smeared_tetra(1.0, 4.0, 1.98)
+    with pytest.raises(ArithmeticError, match="edge of the tile's support"):
+        field.functionals(rho, theta=0.17, p=8.0)
+    assert field.functionals(rho, theta=0.27, p=5.0).thg > 0.0
+
+
 def test_gaussian_hartree_value():
     assert field.gaussian_hartree(1.0, 1.0) == pytest.approx(
         1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-14)
@@ -180,15 +250,18 @@ def _gridded_gaussian():
     (_gridded_gaussian, 0.0),
 ], ids=["smeared_tetra", "grid"])
 def test_grid_families_take_the_base_grid_route(make, hartree_rel):
-    """functionals and kernel_moment of a grid family are the grid terms of
-    its samples on default_grid(rho, n), bit for bit, and so is hartree of a
-    grid density.  The tile's hartree is its closed form, 4.3e-5 below the
-    grid term of its default samples."""
+    """kernel_moment of a grid family is the grid term of its samples on
+    default_grid(rho, n), bit for bit, and so are the functionals and
+    hartree of a grid density.  The tile's functionals come from its table
+    (test_smeared_tile_functionals_match_exact_gradient_grid_sums) and its
+    hartree is its closed form, 4.3e-5 below the grid term of its default
+    samples."""
     from ldacert import coulomb
 
     rho = make()
     samples = field.density_to_field(rho, field.default_grid(rho))
-    assert field.functionals(rho) == field._grid_functionals(samples, 0.5, 4.0)
+    if isinstance(rho, field.GridDensity):
+        assert field.functionals(rho) == field._grid_functionals(samples, 0.5, 4.0)
     assert rho.hartree() == pytest.approx(coulomb.hartree(samples), rel=hartree_rel, abs=0.0)
     kvecs = np.array([[0.0, 0.0, 0.0], [0.5, 1.0, -2.0]])
     coarse = field.density_to_field(rho, field.default_grid(rho, 32))

@@ -72,28 +72,15 @@ def test_sqrt_chi_gradient_scaling():
 
 
 def test_tile_integrals_equal_every_node_sums():
-    """chi_mass and sqrt_chi_grad_norm evaluate only the T' nodes of their
-    support box grid; the sums over every node of that grid give the same
-    bits.  Both cases are cheap: (4, 0.1) has a thin smear layer on
-    chi_mass's fixed 128-node grid, and (4, 1) puts the automatic grid at
-    its 96-node floor."""
+    """chi_mass evaluates only the T' nodes of its support box grid; the sum
+    over every node of that grid gives the same bits.  (4, 0.1) is cheap:
+    it has a thin smear layer on chi_mass's fixed 128-node grid."""
     cfg = tiling.TilingConfig(4.0, 0.1)
-    spec = tiling._support_box_grid(cfg, 1, 128)
+    spec = tiling._support_box_grid(cfg, 1)
     pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
     u = tiling.convolved_indicator(tiling._tile_vertices(cfg, 1, True), cfg.smear_radius, pts)
     want = field.integrate(field.ScalarField(spec, (u / (1.0 - cfg.eps) ** 3).reshape(spec.dims)))
     assert tiling.chi_mass(cfg, 1) == want
-
-    cfg = tiling.TilingConfig(4.0, 1.0)
-    spec = tiling._support_box_grid(cfg, 1, None)
-    assert max(spec.dims) == 96
-    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
-    u, g = tiling.convolved_indicator(
-        tiling._tile_vertices(cfg, 1, True), cfg.smear_radius, pts, want_grad=True)
-    pos = u > 1e-150
-    dens = np.einsum("ij,ij->i", g[pos], g[pos]) / (4.0 * u[pos])
-    want = spec.cell_volume * float(np.sum(dens)) / (1.0 - cfg.eps) ** 3
-    assert tiling.sqrt_chi_grad_norm(cfg, 1) == want
 
 
 def test_mollifier_mass():
