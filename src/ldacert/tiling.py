@@ -29,7 +29,9 @@ table of such values at the quadrature nodes of the scale-free tile
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
-converges as the smearing scale shrinks.
+converges as the smearing scale shrinks.  They transform the first tile
+only: the other 23 are its images under the cube's rotations, so their
+transforms are its own at the rotated wave vectors.
 """
 
 from __future__ import annotations
@@ -112,7 +114,10 @@ def unit_cube_tetrahedra():
     One tetrahedron per (face, edge-of-face) pair of C1 = (-1/2, 1/2)^3,
     spanned by the cube center, the face center and the edge endpoints,
     with the edge endpoints ordered so the vertices are positively
-    oriented, like those of the reference tetrahedron.
+    oriented, like those of the reference tetrahedron (the tiling of
+    Graf & Schenker, Comm. Math. Phys. 174, 1995).  The tiles are the
+    orbit of the first under the 24 rotations of the cube: tile t is
+    g_t applied to tile 1 vertex for vertex (_tile_symmetries).
     """
     tiles = []
     for axis in range(3):
@@ -132,6 +137,24 @@ def unit_cube_tetrahedra():
                     c1, c2 = c2, c1
                 tiles.append(Tetra(np.array([np.zeros(3), fc, c1, c2])))
     return tuple(tiles)
+
+
+@lru_cache(maxsize=1)
+def _tile_symmetries():
+    """The (24, 3, 3) integer table of g_t, read-only: the signed
+    permutation with tile t = g_t tile 1, vertex for vertex.  Only the 24
+    rotations match, since every tile is positively oriented."""
+    tiles = [tile.vertices for tile in unit_cube_tetrahedra()]
+    table = np.zeros((24, 3, 3), dtype=int)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            g = np.zeros((3, 3), dtype=int)
+            g[range(3), perm] = signs
+            for t, verts in enumerate(tiles):
+                if np.array_equal(tiles[0] @ g.T, verts):
+                    table[t] = g
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +210,27 @@ def mollifier_hat(s):
 
     4 pi (2 pi)^{-3/2} int_0^1 eta_1(r) r sin(s r) dr / s, by a 200-node
     Gauss-Legendre rule on [0, 1] divided by the rule's own mass, so that
-    s -> 0 tends to the s = 0 value (2 pi)^{-3/2}, returned exactly.
+    s -> 0 tends to the s = 0 value (2 pi)^{-3/2}, returned exactly.  The
+    rule, the weighted profile and its mass are built once
+    (_mollifier_rule).
     """
     s = np.abs(np.asarray(s, dtype=float))
+    x, f, mass = _mollifier_rule()
+    out = np.full(s.shape, _UNITARY)
+    nz = s != 0.0
+    out[nz] = _UNITARY * (np.sin(np.multiply.outer(s[nz], x)) @ f) / (s[nz] * mass)
+    return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=1)
+def _mollifier_rule():
+    """mollifier_hat's nodes x on [0, 1], weighted profile f = eta_1(x) x w
+    (both read-only) and the rule's mass f @ x."""
     x, w = leggauss(200)
     x = 0.5 * (x + 1.0)
     f = mollifier_value(x) * x * (0.5 * w)
-    out = np.full(s.shape, _UNITARY)
-    nz = s != 0.0
-    out[nz] = _UNITARY * (np.sin(np.multiply.outer(s[nz], x)) @ f) / (s[nz] * (f @ x))
-    return float(out) if out.ndim == 0 else out
+    x.flags.writeable = f.flags.writeable = False
+    return x, f, float(f @ x)
 
 
 @lru_cache(maxsize=1)
@@ -968,30 +1002,47 @@ def _check_reciprocal(k):
     return mi.astype(int)
 
 
+def _orbit_transforms(verts, m):
+    """Transforms of the 24 images g_t verts (_tile_symmetries) at the
+    lattice wave vectors 2 pi m, m an (n, 3) or (3,) integer array; shape
+    (24, n).  The image by g_t at k is verts itself at g_t^T k, so one
+    _tetra_fourier_batch call at the distinct rotated indices serves all
+    24: on a set the rotations map to itself, n rows in place of 24 n."""
+    m = np.atleast_2d(m) @ _tile_symmetries()  # row t, i holds g_t^T m_i
+    top = int(np.max(np.abs(m)))
+    # one int64 code per index, exact for |m| up to 10^6 (numpy raises beyond)
+    dims = (2 * top + 1,) * 3
+    codes, inverse = np.unique(np.ravel_multi_index(np.moveaxis(m + top, -1, 0), dims),
+                               return_inverse=True)
+    unique = np.stack(np.unravel_index(codes, dims), axis=-1) - top
+    return _tetra_fourier_batch(verts, 2.0 * math.pi * unique)[inverse.reshape(m.shape[:2])]
+
+
 def reduced_sum(eps, k):
     """Fourier sum S(eps, k) of the 24 contracted tile indicators.
 
     Each unit tile is contracted about its own centroid by 1 - eps; the
     result is normalized by (1 - eps)^{-3} so that S(0, k) = 0 exactly at
     nonzero reciprocal lattice points.  k is one wave vector, or an (n, 3)
-    array of them for an array of n sums; the phases of all 24 tiles go
-    through one _tetra_fourier_batch call.
+    array of them for an array of n sums, each taken at its lattice point.
+    The contraction commutes with the rotations of the cube, so contracted
+    tile t is g_t applied to contracted tile 1, and every tile's phases come
+    from tile 1's at the rotated wave vectors (_orbit_transforms): at most
+    24 rows for one k, and one row per k on a set closed under the rotations.
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"contraction parameter must lie in [0, 1/2), got {eps}")
-    _check_reciprocal(k)
-    kv = np.asarray(k, dtype=float)
-    tiles = np.array([tile.vertices for tile in unit_cube_tetrahedra()])
-    c = tiles.mean(axis=1, keepdims=True)
-    total = _tetra_fourier_batch(c + (1.0 - eps) * (tiles - c), kv).sum(axis=0)
+    m = _check_reciprocal(k)
+    tile = unit_cube_tetrahedra()[0].vertices
+    c = tile.mean(axis=0)
+    total = _orbit_transforms(c + (1.0 - eps) * (tile - c), m).sum(axis=0)
     total /= (1.0 - eps) ** 3
-    return total if kv.ndim == 2 else total[0]
+    return total if m.ndim == 2 else total[0]
 
 
 def moment_M(k):
     """First-moment vector M(k) = int_{C1} (x - sum_j z_j 1_j(x)) e^{-i k.x} dx."""
     mi = _check_reciprocal(k)
-    kv = np.asarray(k, dtype=float)
     xpart = np.zeros(3, dtype=complex)
     for axis in range(3):
         others = [b for b in range(3) if b != axis]
@@ -999,7 +1050,7 @@ def moment_M(k):
         if n != 0 and all(mi[b] == 0 for b in others):
             xpart[axis] = 1j * (-1.0) ** n / (2.0 * math.pi * n)
     tiles = np.array([tile.vertices for tile in unit_cube_tetrahedra()])
-    ft = (2.0 * math.pi) ** 1.5 * _tetra_fourier_batch(tiles, kv)[:, 0]
+    ft = (2.0 * math.pi) ** 1.5 * _orbit_transforms(tiles[0], mi)[:, 0]
     return xpart - tiles.mean(axis=1).T @ ft
 
 
@@ -1014,8 +1065,10 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
     with k = 2 pi m, the mollifier hat taken at eps |k| / 10 (the smearing
     ball has radius delta/10) and I the spectral moment of the density,
     rho.kernel_moment: the Dawson form for a gaussian, else the
-    truncated-kernel grid route on default_grid(rho, n_grid).  With
-    detail=True also returns shell sums and a geometric tail estimate.
+    truncated-kernel grid route on default_grid(rho, n_grid).  The set of m
+    is closed under the cube's rotations, so reduced_sum transforms the
+    contracted first tile once per m and no other tile.  With detail=True
+    also returns shell sums and a geometric tail estimate.
     """
     if int(k_max) != k_max or k_max < 3:
         raise ValueError(f"k_max must be an integer >= 3, got {k_max}")

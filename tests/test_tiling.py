@@ -113,6 +113,20 @@ def test_mollifier_hat_contract():
     assert abs(tiling.mollifier_hat(1e-8) / tiling.mollifier_hat(0.0) - 1.0) <= 1e-15
 
 
+def test_mollifier_hat_keeps_its_rule():
+    """The cached rule gives the bits of a rule built at the call."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    x = 0.5 * (x + 1.0)
+    f = tiling.mollifier_value(x) * x * (0.5 * w)
+    s = np.concatenate([[1e-8, 1e-3], np.linspace(0.1, 500.0, 301)])
+    want = tiling._UNITARY * (np.sin(np.multiply.outer(s, x)) @ f) / (s * (f @ x))
+    assert np.array_equal(tiling.mollifier_hat(s), want)
+    rule = tiling._mollifier_rule()
+    assert rule[2] == f @ x
+    for arr in rule[:2]:
+        assert not arr.flags.writeable
+
+
 def test_tetra_fourier_volume_at_zero():
     ref = tiling.unit_cube_tetrahedra()[0]
     got = tiling.tetra_fourier(ref.vertices, np.zeros(3))
@@ -273,6 +287,95 @@ def test_reduced_sum_of_rows():
                                rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
         tiling.reduced_sum(0.1, np.vstack([ks, np.zeros(3)]))
+
+
+def _lattice(k_max):
+    """The wave vectors 2 pi m with 0 < |m|_inf <= k_max."""
+    rng = np.arange(-k_max, k_max + 1)
+    m = np.array([mm for mm in itertools.product(rng, repeat=3) if any(mm)])
+    return 2.0 * math.pi * m.astype(float)
+
+
+def _contracted_tiles(eps):
+    tiles = np.array([t.vertices for t in tiling.unit_cube_tetrahedra()])
+    c = tiles.mean(axis=1, keepdims=True)
+    return c + (1.0 - eps) * (tiles - c)
+
+
+def _reduced_sum_of_every_tile(eps, kv):
+    """S(eps, k) with each of the 24 contracted tiles transformed."""
+    return tiling._tetra_fourier_batch(_contracted_tiles(eps), kv).sum(axis=0) / (1.0 - eps) ** 3
+
+
+def test_tile_symmetries_map_tile_1_onto_every_tile():
+    table = tiling._tile_symmetries()
+    assert table.shape == (24, 3, 3) and table.dtype.kind == "i"
+    assert not table.flags.writeable
+    assert len({g.tobytes() for g in table}) == 24
+    tiles = np.array([t.vertices for t in tiling.unit_cube_tetrahedra()])
+    for t, g in enumerate(table):
+        assert np.array_equal(g @ g.T, np.eye(3, dtype=int))
+        assert (tiles[0] @ g.T).tobytes() == tiles[t].tobytes()
+    for eps in (0.0, 0.05, 0.15, 0.3, 0.49):
+        shrunk = _contracted_tiles(eps)
+        for t, g in enumerate(table):
+            assert (shrunk[0] @ g.T).tobytes() == shrunk[t].tobytes()
+
+
+def _not_closed_subset():
+    kv = _lattice(3)
+    sub = kv[np.random.default_rng(3).choice(len(kv), 20, replace=False)]
+    m = np.round(sub / (2.0 * math.pi)).astype(int)
+    orbit = {tuple(r) for r in (m @ tiling._tile_symmetries()).reshape(-1, 3)}
+    assert len(orbit) > len(sub)
+    return sub
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2, 0.49])
+def test_reduced_sum_matches_every_tile_transform(eps):
+    for kv in (_lattice(3), _lattice(4), _not_closed_subset()):
+        got = tiling.reduced_sum(eps, kv)
+        assert got.shape == (len(kv),)
+        np.testing.assert_allclose(got, _reduced_sum_of_every_tile(eps, kv), rtol=0, atol=1e-16)
+    for m in [(1, 0, 0), (0, -2, 1), (3, 1, -2), (4, 4, 4)]:
+        k = 2.0 * math.pi * np.array(m, dtype=float)
+        got = tiling.reduced_sum(eps, k)
+        assert np.ndim(got) == 0
+        assert abs(got - _reduced_sum_of_every_tile(eps, k)[0]) <= 1e-16
+
+
+def test_orbit_transforms_are_each_tiles_transform():
+    """Row t is tile t's own transform, which moment_M weighs by its centroid
+    (the sum over the 24 rows would not tell g_t from its inverse)."""
+    kv = _not_closed_subset()
+    m = np.round(kv / (2.0 * math.pi)).astype(int)
+    for eps in (0.0, 0.2):
+        shrunk = _contracted_tiles(eps)
+        got = tiling._orbit_transforms(shrunk[0], m)
+        np.testing.assert_allclose(got, tiling._tetra_fourier_batch(shrunk, kv), rtol=0, atol=1e-16)
+
+
+def test_reduced_sum_transforms_one_row_per_orbit_vector(monkeypatch):
+    rows = []
+    batch = tiling._tetra_fourier_batch
+
+    def spy(verts, kvecs):
+        rows.append(np.shape(kvecs))
+        return batch(verts, kvecs)
+
+    monkeypatch.setattr(tiling, "_tetra_fourier_batch", spy)
+    tiling.reduced_sum(0.1, _lattice(3))
+    assert rows == [(342, 3)]
+
+
+@pytest.mark.parametrize("delta", [0.4, 0.2, 0.1])
+def test_direct_error_matches_every_tile_transform(delta, monkeypatch):
+    rho = field.Density.gaussian(1.0, 1.0)
+    cfg = tiling.TilingConfig(4.0, delta)
+    got = tiling.tiling_direct_error(rho, cfg, 4)
+    monkeypatch.setattr(tiling, "reduced_sum", _reduced_sum_of_every_tile)
+    want = tiling.tiling_direct_error(rho, cfg, 4)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_reduced_sum_linear_rate():
