@@ -11,19 +11,16 @@ periodic images still enter at a small relative level (ROADMAP.md, item
 4).  One forward transform of the box, _spectrum, feeds the convolution
 and the reciprocal-space moment integrals; the kernel, built once per
 (box, grid) geometry and cached, also backs the translation-averaged
-localization identity.  The annulus convolution is an independent 1D
-radial reduction used by the tiling error analysis.
+localization identity.  The annulus convolution is the closed form of a
+1D radial reduction used by the tiling error analysis.
 
-scipy.fft is imported on the first transform, not with the module, so a
-command that runs none (``info``, a gaussian or smeared-tile ``certify``)
-never loads it.
+Every transform is a numpy.fft pass; the package imports no scipy module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -39,17 +36,21 @@ _CHECK_BLOCK = 1 << 21
 # transform engine
 
 
-def _fft_workers():
-    """scipy.fft worker count: LDA_CERT_THREADS, else the CPUs this process
-    may run on.  Workers split independent 1D transforms, so the count never
-    changes a value."""
-    raw = os.environ.get("LDA_CERT_THREADS")
-    if raw is None:
-        return len(os.sched_getaffinity(0))
-    workers = int(raw) if raw.strip().isdigit() else 0
-    if workers < 1:
-        raise ValueError(f"LDA_CERT_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
+def _fast_len(n):
+    """The smallest 5-smooth integer >= n: a length pocketfft transforms
+    fast for real input."""
+    best = 1 << max(n - 1, 0).bit_length()  # a power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _kernel_values(psq, radius):
@@ -101,11 +102,9 @@ class _Engine:
     """
 
     def __init__(self, box_dims, spacing, dims):
-        from scipy.fft import next_fast_len
-
         self.radius = float(np.linalg.norm([h * (b - 1) for b, h in zip(box_dims, spacing)]))
         self.shape = tuple(
-            min(next_fast_len(math.ceil(b - 1 + self.radius / h), real=True), 2 * n)
+            min(_fast_len(math.ceil(b - 1 + self.radius / h)), 2 * n)
             for b, h, n in zip(box_dims, spacing, dims))
         #: angular frequency axes of the full padded reciprocal grid
         self.freqs = tuple(
@@ -155,19 +154,21 @@ def _spectrum(values, spec):
     Returns (coeffs, box, engine): box, three slices, is the support box of
     values (the union over a stack) widened by one node, engine its cached
     _Engine, and coeffs equals rfftn(values[..., *box], s=engine.shape).
-    The passes run axis by axis in pocketfft's own rfftn order, each padding
-    only the axis it transforms, so the all-zero padding lines of the other
-    axes are never transformed.
+    The numpy.fft passes run axis by axis in pocketfft's own rfftn order,
+    each padding only the axis it transforms, so the all-zero padding lines
+    of the other axes are never transformed.
     """
-    import scipy.fft as _fft  # lazy: commands that run no transform skip the import
-
     box = _support_box(values, pad=1)
     engine = _engine(tuple(s.stop - s.start for s in box), spec.spacing, spec.dims)
-    workers = _fft_workers()
     p1, p2, p3 = engine.shape
-    coeffs = _fft.rfft(values[(...,) + box], n=p3, axis=-1, workers=workers)
-    coeffs = _fft.fft(coeffs, n=p1, axis=-3, overwrite_x=True, workers=workers)
-    coeffs = _fft.fft(coeffs, n=p2, axis=-2, overwrite_x=True, workers=workers)
+    sub = values[(...,) + box]
+    # a C-ordered first pass keeps every later array C-ordered, whatever the
+    # layout of values (a grid file's is Fortran order): the kernel product
+    # runs on matching layouts, and hartree sums the potential in C order
+    coeffs = np.empty(sub.shape[:-1] + (p3 // 2 + 1,), dtype=complex)
+    coeffs = np.fft.rfft(sub, n=p3, axis=-1, out=coeffs)
+    coeffs = np.fft.fft(coeffs, n=p1, axis=-3)
+    coeffs = np.fft.fft(coeffs, n=p2, axis=-2)
     return coeffs, box, engine
 
 
@@ -177,22 +178,18 @@ def _potential(values, spec):
     Returns (pot, box), box as _spectrum gives it and pot equal to
     irfftn(rfftn(values[..., *box], s) * kernel, s) on it; values *
     potential vanishes off the box, so the potential there is never formed.
-    The inverse passes run in pocketfft's irfftn order, each cropping to the
-    box before the next.  The 1/(P1 P2 P3) scale is applied once at the
-    end, rounded from long double as pocketfft rounds it.
+    The numpy.fft inverse passes run in pocketfft's irfftn order, each
+    cropping to the box before the next; the two complex passes keep their
+    shape and write in place.  The 1/(P1 P2 P3) scale is applied once at
+    the end, rounded from long double as pocketfft rounds it.
     """
-    import scipy.fft as _fft
-
     coeffs, box, engine = _spectrum(values, spec)
-    workers = _fft_workers()
     p1, p2, p3 = engine.shape
     b1, b2, b3 = (s.stop - s.start for s in box)
     coeffs *= engine.kernel
-    coeffs = _fft.ifft(coeffs, axis=-3, norm="forward", overwrite_x=True,
-                       workers=workers)[..., :b1, :, :]
-    coeffs = _fft.ifft(coeffs, axis=-2, norm="forward", overwrite_x=True,
-                       workers=workers)[..., :b2, :]
-    pot = _fft.irfft(coeffs, n=p3, axis=-1, norm="forward", workers=workers)[..., :b3]
+    coeffs = np.fft.ifft(coeffs, axis=-3, norm="forward", out=coeffs)[..., :b1, :, :]
+    coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs)[..., :b2, :]
+    pot = np.fft.irfft(coeffs, n=p3, axis=-1, norm="forward")[..., :b3]
     pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
     return pot, box
 
@@ -354,69 +351,15 @@ def _annulus_bounds(r, alpha):
     return 1.0 / (1.0 + alpha), 1.0 / (1.0 - alpha)
 
 
-def _radial_integrand(s):
-    return s * np.log((s + 1.0) / np.abs(s - 1.0))
-
-
-def _segment_integral(p, q):
-    """int_p^q s log((s+1)/|s-1|) ds with 1 not interior to (p, q).
-
-    Near the logarithmic endpoint the substitution u = -log|s-1| makes the
-    integrand smooth and exponentially decaying; away from it the direct
-    form is already smooth.
-    """
-    from scipy import integrate as _sciint
-
-    if q <= p:
-        return 0.0
-    if min(abs(p - 1.0), abs(q - 1.0)) > 0.25:
-        val, _ = _sciint.quad(_radial_integrand, p, q,
-                              epsabs=1e-13, epsrel=1e-12)
-        return val
-    if q <= 1.0:
-        u_lo = -math.log(1.0 - p)
-        u_hi = math.inf if q == 1.0 else -math.log(1.0 - q)
-
-        def g(u):
-            e = math.exp(-u)
-            s = 1.0 - e
-            return s * (math.log(s + 1.0) + u) * e
-    elif p >= 1.0:
-        u_lo = -math.log(q - 1.0)
-        u_hi = math.inf if p == 1.0 else -math.log(p - 1.0)
-
-        def g(u):
-            e = math.exp(-u)
-            s = 1.0 + e
-            return s * (math.log(s + 1.0) + u) * e
-    else:
-        raise ValueError("segment straddles the singular radius")
-    val, _ = _sciint.quad(g, u_lo, u_hi, epsabs=1e-13, epsrel=1e-12)
-    return val
-
-
 def annulus_conv(r, alpha):
     """Convolution of the annulus indicator {1/(1+a) < |y| < 1/(1-a)} with
     |.|^{-2}, evaluated at radius r.
 
     Radial reduction: 2 pi r * int s log((s+1)/|s-1|) ds over
-    [1/(r(1+a)), 1/(r(1-a))], split at the singular shell s = 1.
+    [1/(r(1+a)), 1/(r(1-a))], in closed form through the antiderivative
+    G(s) = ((s^2-1)/2) log((s+1)/|s-1|) + s, continuous across the
+    logarithmic point s = 1.
     """
-    lo_r, hi_r = _annulus_bounds(r, alpha)
-    if r == 0.0:
-        return 8.0 * math.pi * alpha / (1.0 - alpha**2)
-    p, q = lo_r / r, hi_r / r
-    if p < 1.0 < q:
-        total = _segment_integral(p, 1.0) + _segment_integral(1.0, q)
-    else:
-        total = _segment_integral(p, q)
-    return _TWO_PI * r * total
-
-
-def annulus_conv_exact(r, alpha):
-    """Closed antiderivative route: G(s) = ((s^2-1)/2) log((s+1)/|s-1|) + s
-    (continuous across s = 1).  Kept as an independent cross-check of the
-    quadrature path."""
     lo_r, hi_r = _annulus_bounds(r, alpha)
     if r == 0.0:
         return 8.0 * math.pi * alpha / (1.0 - alpha**2)
@@ -442,6 +385,6 @@ def annulus_sup(alpha, r_grid):
         raise ValueError("r_grid is empty")
     if r_grid.min() > 0.0 or r_grid.max() < 8.0 or np.max(np.diff(np.sort(r_grid))) > 0.01 + 1e-12:
         raise ValueError("r_grid must cover [0, 8] with spacing <= 0.01")
-    vals = np.array([annulus_conv_exact(r, alpha) for r in np.sort(r_grid)])
+    vals = np.array([annulus_conv(r, alpha) for r in np.sort(r_grid)])
     sup = float(np.max(vals))
     return sup, sup / (alpha * math.log(1.0 / alpha))

@@ -240,6 +240,20 @@ def test_gaussian_dawson_moments_match_the_grid_route():
         rho.kernel_moment(np.zeros((2, 2)))
 
 
+def test_dawson_matches_mpmath():
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    # log-spaced over [1e-8, 200], plus both sides of the Taylor/Rybicki switch
+    x = np.concatenate([np.geomspace(1e-8, 200.0, 1000),
+                        0.2 + np.linspace(-0.01, 0.01, 51)])
+    want = np.array([float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(v) ** 2) * mp.erfi(v))
+                     for v in x])
+    got = field._dawson(x)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(field._dawson(-x), -got)
+
+
 def _gridded_gaussian():
     rho = field.Density.gaussian(1.0, 1.0)
     return field.Density.grid(field.density_to_field(rho, field.default_grid(rho, 24)))
