@@ -358,13 +358,21 @@ def annulus_conv(r, alpha):
     Radial reduction: 2 pi r * int s log((s+1)/|s-1|) ds over
     [1/(r(1+a)), 1/(r(1-a))], in closed form through the antiderivative
     G(s) = ((s^2-1)/2) log((s+1)/|s-1|) + s, continuous across the
-    logarithmic point s = 1.
+    logarithmic point s = 1.  Below s = 1/2 the closed form's two terms
+    cancel to 2 s^3/3 + ... (its error reaches 7e-11 relative at r = 100),
+    so G there is the series 2 sum_{k>=1} s^(2k+1)/(4k^2 - 1), summed by
+    Horner from the 30th term (below 1e-17 relative).
     """
     lo_r, hi_r = _annulus_bounds(r, alpha)
     if r == 0.0:
         return 8.0 * math.pi * alpha / (1.0 - alpha**2)
 
     def anti(s):
+        if s < 0.5:
+            s2, total = s * s, 0.0
+            for k in range(30, 0, -1):
+                total = total * s2 + 1.0 / (4 * k * k - 1)
+            return 2.0 * s * s2 * total
         if s == 1.0:
             return 1.0
         return 0.5 * (s * s - 1.0) * math.log((s + 1.0) / abs(s - 1.0)) + s

@@ -19,13 +19,13 @@ Hermite tables of the mollifier's radial profiles, built like its norm on
 field's one radial rule.  No volumetric quadrature is involved, so point
 evaluation costs O(faces).  Away from the edge lines it is exact to table
 accuracy (about 1e-13); within a fraction of the smearing radius of an
-edge line the 24-node rule of the edge integrals errs by up to 1e-4 in
+edge line the 32-node rule of the edge integrals errs by up to 7e-5 in
 the value and 3e-4 per smearing radius in the gradient (against 400
 nodes).
 
-The integrals of a smeared tile over space are sums over one cached
-table of such values at the quadrature nodes of the scale-free tile
-(_tile_table), so they sample no grid.
+The integrals of a smeared tile over space, chi_mass among them, are
+sums over one cached table of such values at the quadrature nodes of the
+scale-free tile (_tile_table), so they sample no grid.
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
@@ -415,8 +415,8 @@ def _reach_box(vertex_key, rs):
     return box
 
 
-#: Gauss-Legendre rules of the edge integrals, by order
-_edge_rule = lru_cache(maxsize=4)(leggauss)
+#: the Gauss-Legendre rule of the edge integrals, on each side of the foot
+_GL_X, _GL_W = leggauss(32)
 _NUDGE_DIR = np.array([0.2319871039203040, 0.5483715558798305, 0.8034840276971138])
 _NUDGE_DIR = _NUDGE_DIR / np.linalg.norm(_NUDGE_DIR)
 
@@ -451,7 +451,7 @@ def _edge_distances(pts, ea, edge_m):
     return np.einsum("nfes,fes->nfe", ea[None, :, :, :] - pts[:, None, None, :], edge_m)
 
 
-def convolved_indicator(vertices, rs, points, want_grad=False, edge_nodes=24):
+def convolved_indicator(vertices, rs, points, want_grad=False):
     """Evaluate u = 1_T * g at points, where g is the radial bump of support rs.
 
     T is the tetrahedron with the given vertices and g = eta_delta with
@@ -462,10 +462,10 @@ def convolved_indicator(vertices, rs, points, want_grad=False, edge_nodes=24):
             + sum_f h_f [ Q_c(|h_f|) Theta_f - sum_e sign(e) int Q_c ],
 
     with Theta_f the winding-angle sum of face f around the foot point
-    and the edge integrals taken in the fan angle psi, by an edge_nodes
-    Gauss-Legendre rule on each side of the foot of the edge.  The gradient
-    (returned when want_grad is set) replaces Q_c by the profile K_g and
-    carries a factor -n_f.  u and its gradient vanish outside
+    and the edge integrals taken in the fan angle psi, by the 32-node
+    Gauss-Legendre rule _GL_X, _GL_W on each side of the foot of the edge.
+    The gradient (returned when want_grad is set) replaces Q_c by the
+    profile K_g and carries a factor -n_f.  u and its gradient vanish outside
     T' = {h_f < rs for every f}, so points outside the box of T' are set
     to 0 before any face product is taken.  A face with |h_f| >= rs adds
     an exact 0 (Q_c, K_g and its edge integrals vanish there), so each
@@ -476,11 +476,11 @@ def convolved_indicator(vertices, rs, points, want_grad=False, edge_nodes=24):
     behaves like machine epsilon times scale/dist (about 1e-10 at
     dist = 1e-6 scale).  Points exactly on a face plane are displaced by
     a 3e-12 scale nudge first; generic points evaluate to 1e-14.  Within a
-    fraction of rs of an edge line the default 24-node edge rule errs by
-    up to 1e-4 in u and 3e-4/rs in the gradient; 48 nodes by 3e-6 in u,
-    96 by 2e-7 (against 400 nodes, on tile 1 with edges of 5 to 10 rs).
+    fraction of rs of an edge line the edge rule errs by up to 7e-5 in u
+    and 3e-4/rs in the gradient, against 400 nodes on tile 1 with edges of
+    5 to 10 rs; 13% of the active points among 200,000 random ones of T'
+    are off by more than 1e-10; 96 nodes would err by 4e-6 and 2e-5/rs.
     """
-    gl_x, gl_w = _edge_rule(edge_nodes)
     verts = np.asarray(vertices, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = len(pts)
@@ -572,11 +572,11 @@ def convolved_indicator(vertices, rs, points, want_grad=False, edge_nodes=24):
                 p1 = np.arctan(t1 / em)
                 ctr = 0.5 * (p1 + p0)
                 rad = 0.5 * (p1 - p0)
-                psi = ctr[:, None] + rad[:, None] * gl_x[None, :]
+                psi = ctr[:, None] + rad[:, None] * _GL_X[None, :]
                 targ = np.sqrt(b2m[:, None] + e2m[:, None] * np.tan(psi) ** 2)
-                acc_q += rad * (_qc_profile(targ, rs) @ gl_w)
+                acc_q += rad * (_qc_profile(targ, rs) @ _GL_W)
                 if want_grad:
-                    acc_g += rad * (_kg_profile(targ, rs) @ gl_w)
+                    acc_g += rad * (_kg_profile(targ, rs) @ _GL_W)
             esum[idx] += se[idx] * acc_q
             if want_grad:
                 gsum[idx] += se[idx] * acc_g
@@ -601,8 +601,6 @@ _TILE_ORDERS = (12, 12, 6, 9)
 _TILE_PANELS = (-1.0, -0.5, 0.0, 0.5, 0.8, 1.0)
 #: the tile scale, in smearing radii, at which the table is evaluated
 _TABLE_LAMBDA = 10.0
-#: the edge rule of convolved_indicator at the table's nodes
-_TABLE_EDGE_NODES = 32
 #: (face, multiplicity) of the faces the table evaluates
 _FACE_COPIES = ((0, 1), (1, 1), (2, 2))
 #: the gradient integrands divide by u; nodes with u at or below this read 0
@@ -660,10 +658,10 @@ def _tile_table(orders):
     Against doubled orders the default table agrees to 3e-7 relative in
     kin and tv, 1e-6 in thg (4e-6 at theta = theta_min + 0.02 of each
     variant's gate, p = 3.5 and 5.6) and 2e-8 in l2, l43 and l53, for lam
-    from 20 to 400; int u is V lam^3 within 3e-9 relative.  The nodes take
-    a 32-node edge rule: the default 24 nodes err by up to 1e-4 in u near
-    edge lines, which moved int u by 3e-8 relative at lam = 20, and 32
-    nodes stay within 2e-7 of a 200-node rule in every integral.
+    from 20 to 400; int u is V lam^3 within 3e-9 relative.  At the nodes
+    convolved_indicator's 32-node edge rule stays within 2e-7 of a
+    200-node rule in every integral (a 24-node rule, which errs by up to
+    1e-4 in u near edge lines, moved int u by 3e-8 relative at lam = 20).
     """
     n_h, n_d, n_hc, n_c = orders
     tile = unit_cube_tetrahedra()[0]
@@ -732,8 +730,7 @@ def _tile_table(orders):
                         + (along[:, None] * s)[..., None] * edge_u[f, k]
                         - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
             weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
-    u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True,
-                                  edge_nodes=_TABLE_EDGE_NODES)
+    u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True)
     table = (u, np.sqrt(np.einsum("ij,ij->i", grad, grad)), np.concatenate(weights))
     for a in table:
         a.flags.writeable = False  # cached: every caller shares it
@@ -855,40 +852,30 @@ def xi_grad_values(cfg, j, points):
 # tile integrals
 
 
-def _support_box_grid(cfg, j):
-    """Cell-centred midpoint grid over the support box of chi_j, with 128
-    nodes along its longest axis; the other axes get their share, rounded
-    to nearest.  chi_j vanishes with all derivatives on the box boundary.
-    """
-    verts = _tile_vertices(cfg, j, True)
-    pad = 1.001 * cfg.smear_radius
-    lo = verts.min(axis=0) - pad
-    hi = verts.max(axis=0) + pad
-    ext = hi - lo
-    counts = np.maximum(16, np.rint(128 * ext / ext.max()).astype(int))
-    spacing = ext / counts
-    return field.GridSpec(tuple(int(c) for c in counts), tuple(spacing), tuple(lo + 0.5 * spacing))
-
-
-def chi_mass(cfg, j):
-    """Quadrature value of the integral of chi_j (exact value ell^3/24), on
-    the support box grid with 128 nodes along its longest axis."""
-    return field.integrate(sample_field(cfg, j, _support_box_grid(cfg, j)))
-
-
-def sqrt_chi_grad_norm(cfg, j):
-    """Dirichlet integral of sqrt(chi_j), i.e. int |grad sqrt(chi_j)|^2.
-
-    chi_j = s^3 u(x/rs) with u = 1_T * eta_1 on the shrunk tile, which
-    spans lam = (1 - eps) ell/rs > 10 smearing radii, so the integral is
-    s^3 rs kin of _tile_integrals at lam.  All 24 tiles are congruent, so
-    one value serves every j.
-    """
+def _chi_integral(cfg, j, name, q):
+    """s^3 rs^(3 - q) times integral name of _tile_integrals, q the number
+    of derivatives it takes: chi_j = s^3 u(x/rs) with u = 1_T * eta_1 on
+    the shrunk tile, which spans lam = (1 - eps) ell/rs > 10 smearing
+    radii.  All 24 tiles are congruent, so one value serves every j."""
     if not 1 <= j <= 24:
         raise ValueError(f"tile index must lie in 1..24, got {j}")
     rs = cfg.smear_radius
-    kin = _tile_integrals((1.0 - cfg.eps) * cfg.ell / rs, 0.5, 2.0)["kin"]
-    return rs * kin / (1.0 - cfg.eps) ** 3
+    value = _tile_integrals((1.0 - cfg.eps) * cfg.ell / rs, 0.5, 2.0)[name]
+    return rs ** (3 - q) * value / (1.0 - cfg.eps) ** 3
+
+
+def chi_mass(cfg, j):
+    """Integral of chi_j: s^3 rs^3 int u from the tile table, the route the
+    certificates take.  The exact value is ell^3/24; the table meets it
+    within 2e-9 relative from lam = 30 on and within 7e-9 as delta nears
+    ell/2 (lam near 10)."""
+    return _chi_integral(cfg, j, "mass", 0)
+
+
+def sqrt_chi_grad_norm(cfg, j):
+    """Dirichlet integral of sqrt(chi_j), i.e. int |grad sqrt(chi_j)|^2:
+    s^3 rs kin of _tile_integrals."""
+    return _chi_integral(cfg, j, "kin", 2)
 
 
 # ---------------------------------------------------------------------------

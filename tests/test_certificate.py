@@ -313,11 +313,11 @@ def test_flatness_error_gaussian_values():
     term, bit for bit, as computed with distances taken on every node."""
     upper, lower = certificate.flatness_error(
         field.Density.gaussian(1.0, 1.0), 0.25, QUANTUM, 4.0, 0.8)
-    assert upper == {"bulk": 0.009286950226815215, "weight_gradient": 1.8046960888746315,
-                     "kin": 0.08404605378089387, "theta": 5129.957051666457,
+    assert upper == {"bulk": 0.009286950229770904, "weight_gradient": 1.8046958682451493,
+                     "kin": 0.08404605382801758, "theta": 5129.957051666457,
                      "rho_ref": 0.00012134955920248059}
     assert lower == {"bulk": 1.0802670395093892, "transition_layer": 1.269723864750845,
-                     "kin": 0.08404605378089387, "theta": 5129.957051666457,
+                     "kin": 0.08404605382801758, "theta": 5129.957051666457,
                      "rho_ref": 0.06348619323754226}
 
 

@@ -406,6 +406,29 @@ def test_annulus_quadrature_vs_antiderivative(alpha):
                                                                rel=1e-12), f"r={r}"
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+def test_annulus_matches_mpmath_to_large_radius(alpha):
+    """annulus_conv against its antiderivative at 40 digits, for r from 1/2
+    to 1e4 and on both sides of r = 2/(1 +- a), where one bound crosses
+    s = 1/2 into the series.  The bound is 2e-15, not 1e-15: the rounded
+    arguments s = 1/(r (1 +- a)) enter G(hi) - G(lo), which amplifies
+    them, and on 600 log-spaced r in [1, 1e4] at alpha = 0.1 the errors'
+    median is 3.5e-16 and their maximum 1.9e-15.  The closed form alone
+    erred by 7e-11 at r = 100."""
+    import mpmath as mp
+
+    def reference(r):
+        r, a = mp.mpf(r), mp.mpf(alpha)
+        anti = lambda s: (s * s - 1) / 2 * mp.log((s + 1) / abs(s - 1)) + s
+        return 2 * mp.pi * r * (anti(1 / (r * (1 - a))) - anti(1 / (r * (1 + a))))
+
+    switch = [2.0 / (1.0 + side * alpha) * (1.0 + t) for side in (1, -1) for t in (-1e-3, 1e-3)]
+    with mp.workdps(40):
+        for r in list(np.geomspace(0.5, 1e4, 60)) + switch:
+            want = reference(float(r))
+            assert abs(coulomb.annulus_conv(float(r), alpha) / want - 1) <= 2e-15, f"r={r}"
+
+
 def test_annulus_center_value():
     alpha = 0.3
     want = 8.0 * math.pi * alpha / (1.0 - alpha**2)

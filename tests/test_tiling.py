@@ -71,16 +71,15 @@ def test_sqrt_chi_gradient_scaling():
         assert 7.0 < v * delta / ell**2 < 10.0
 
 
-def test_tile_integrals_equal_every_node_sums():
-    """chi_mass evaluates only the T' nodes of its support box grid; the sum
-    over every node of that grid gives the same bits.  (4, 0.1) is cheap:
-    it has a thin smear layer on chi_mass's fixed 128-node grid."""
-    cfg = tiling.TilingConfig(4.0, 0.1)
-    spec = tiling._support_box_grid(cfg, 1)
-    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
-    u = tiling.convolved_indicator(tiling._tile_vertices(cfg, 1, True), cfg.smear_radius, pts)
-    want = field.integrate(field.ScalarField(spec, (u / (1.0 - cfg.eps) ** 3).reshape(spec.dims)))
-    assert tiling.chi_mass(cfg, 1) == want
+@pytest.mark.parametrize("ell,delta", [(4.0, 1.0), (4.0, 0.1), (6.0, 0.5), (10.0, 4.9)])
+def test_chi_mass_is_the_tile_volume(ell, delta):
+    """int chi_j = ell^3/24, from the tile table; (10, 4.9) lies near
+    delta = ell/2, where the shrunk tile spans lam = 10.4 smearing radii."""
+    cfg = tiling.TilingConfig(ell, delta)
+    assert tiling.chi_mass(cfg, 1) == pytest.approx(ell**3 / 24.0, rel=1e-8)
+    for j in (0, 25):
+        with pytest.raises(ValueError):
+            tiling.chi_mass(cfg, j)
 
 
 def test_mollifier_mass():
@@ -422,10 +421,12 @@ def test_reduced_sum_fitted_constant_stability():
 
 
 def test_partition_residual_coarse_tau_rule():
-    """The averaged-cutoff identity is exact once the tau step resolves the
-    smearing radius delta/10 (n_tau = 64 here reaches 4e-16), but a fixed
-    16-node rule leaves an aliasing residual of 6.0e-2 at these scales.  The
-    1e-4 claim for n_tau = 16 is kept as stated and fails honestly."""
+    """A fixed 16-node tau rule (step 5 rs, rs = delta/10) leaves an
+    aliasing residual of 6.0e-2 at these scales.  n_tau = 64 and 128 reach
+    roundoff because every shrunk tile vertex then lies on the tau lattice,
+    not because the step (1.25 rs at 64) resolves rs; 96 nodes, the first
+    rule to resolve rs, leave 1.0e-5.  The 1e-4 claim for n_tau = 16 is
+    kept as stated and fails honestly."""
     cfg = tiling.TilingConfig(4.0, 0.5)
     rng = np.random.default_rng(99)
     pts = rng.uniform(-2.0, 2.0, size=(6, 3))
@@ -599,6 +600,30 @@ def test_reach_box_bounds_the_pushed_tile():
     assert np.all(hi <= verts.max(axis=0) + 5 * rs)
 
 
+def test_edge_rule_near_edge_lines(monkeypatch):
+    """Within rs/2 of the edge lines of tile 1 at 10 smearing radii, the
+    32-node edge rule stays within 7e-5 in u and 3e-4/rs in grad u of the
+    same function on 400 nodes (24 nodes err by 8.7e-5 and 4.0e-4/rs on
+    these points)."""
+    verts = 10.0 * tiling.unit_cube_tetrahedra()[0].vertices
+    rng = np.random.default_rng(0)
+    pts = []
+    for a, b in itertools.combinations(range(4), 2):
+        d = verts[b] - verts[a]
+        off = rng.normal(size=(600, 3))
+        off -= np.outer(off @ d / (d @ d), d)
+        off *= rng.uniform(0.0, 0.5, size=(600, 1)) / np.linalg.norm(off, axis=1, keepdims=True)
+        pts.append(verts[a] + rng.uniform(0.0, 1.0, size=(600, 1)) * d + off)
+    pts = np.concatenate(pts)
+    u, g = tiling.convolved_indicator(verts, 1.0, pts, want_grad=True)
+    x, w = np.polynomial.legendre.leggauss(400)
+    monkeypatch.setattr(tiling, "_GL_X", x)
+    monkeypatch.setattr(tiling, "_GL_W", w)
+    u_ref, g_ref = tiling.convolved_indicator(verts, 1.0, pts, want_grad=True)
+    assert np.max(np.abs(u - u_ref)) <= 7e-5
+    assert np.max(np.linalg.norm(g - g_ref, axis=1)) <= 3e-4
+
+
 def test_convolved_indicator_prefilter_keeps_every_value():
     verts, rs, pts = _reach_box_case()
     lo, hi = tiling._reach_box(tiling._vertex_key(verts), rs)
@@ -630,8 +655,8 @@ def test_convolved_indicator_lone_box_point_keeps_its_value():
 # every active point: smeared_tetra(1.7, 4, 1.98) sampled on its 170^3
 # default grid, and xi_j with its gradient (tiles 1 and 7, ell 4, delta 1)
 # at the points below
-TETRA_SAMPLE_SHA256 = "928f42f1416ce71eec6f17d9dcfc70550e7852eac1fa1302d2a833a2ad3720e6"
-XI_GRAD_SHA256 = "f79c4ae3edb1b07d50c915cc611236fa172f449212e62d436451337e67454ca0"
+TETRA_SAMPLE_SHA256 = "aa841375324fdbe6af3bf787cc58bb41559b9f2cc5a6c787980a335047b913df"
+XI_GRAD_SHA256 = "4c81d771c60e78b12ef2906d9057057bd7733a008e9cb493498d64fd5ccb7458"
 
 
 def test_smeared_tetra_sample_digest():
