@@ -28,8 +28,9 @@ from .field import Density, ScalarField, SupportError, _support_box, density_to_
 
 _TWO_PI = 2.0 * math.pi
 # the periodic identity support-checks its shifted fields in blocks of at
-# most this many grid values (16 MB of float64)
-_CHECK_BLOCK = 1 << 21
+# most this many grid values (512 KB of float64, which stays in L2), each
+# written into one buffer that the call reuses
+_CHECK_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +120,11 @@ class _Engine:
 _engine = functools.lru_cache(maxsize=8)(_Engine)
 
 
-def _check_support(values):
-    """Boundary-layer mass must be negligible for the truncated kernel.
+def _leak_share(values):
+    """The largest boundary-layer share of |mass| among the fields that leak
+    (boundary > 1e-6 of the total), or 0.0 if none does.
 
-    values holds one field, or a stack of fields along leading axes; every
-    field of the stack is checked.
+    values holds one field, or a stack of fields along leading axes.
     """
     vals = np.abs(values)
     total = vals.sum(axis=(-3, -2, -1))
@@ -132,11 +133,23 @@ def _check_support(values):
         + vals[..., :, 0, :].sum(axis=(-2, -1)) + vals[..., :, -1, :].sum(axis=(-2, -1))
         + vals[..., :, :, 0].sum(axis=(-2, -1)) + vals[..., :, :, -1].sum(axis=(-2, -1)))
     leaks = boundary > 1e-6 * total
-    if np.any(leaks):
-        share = float(np.max(boundary[leaks] / total[leaks]))
+    return float(np.max(boundary[leaks] / total[leaks])) if np.any(leaks) else 0.0
+
+
+def _raise_leak(share):
+    if share > 0.0:
         raise SupportError(
             f"boundary cells hold {share:.3e} of the mass; "
             "density support must stay inside the grid box")
+
+
+def _check_support(values):
+    """Boundary-layer mass must be negligible for the truncated kernel.
+
+    values holds one field, or a stack of fields along leading axes; every
+    field of the stack is checked.
+    """
+    _raise_leak(_leak_share(values))
 
 
 def _as_field(rho, spec=None):
@@ -292,6 +305,10 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     G_jk = (1/2) V sum_x r_j (K * r_k): one convolution per basis field.
     rho and each shifted field are support-checked on the basis box, which
     holds every node where rho != 0 (|Re u_m| or |Im u_m| is >= rho/sqrt 2).
+    The shifted fields are formed in L2-sized blocks of _CHECK_BLOCK grid
+    values, each written into one buffer reused across the call; the
+    SupportError reports the largest leaking share over all of them, so its
+    message does not depend on the block size.
     """
     if n_tau < 8:
         raise ValueError(f"need at least 8 Gauss nodes per axis, got {n_tau}")
@@ -327,8 +344,13 @@ def periodic_localization_identity(rho, f_coeffs, ell, spec=None, n_tau=8):
     _check_support(field.values[box])
     box_flat = basis[(...,) + box].reshape(len(basis), -1)
     step = max(1, _CHECK_BLOCK // box_flat.shape[1])
+    buf = np.empty((min(step, len(coeffs)), box_flat.shape[1]))
+    share = 0.0
     for lo in range(0, len(coeffs), step):
-        _check_support((coeffs[lo:lo + step] @ box_flat).reshape(-1, *pots.shape[1:]))
+        block = coeffs[lo:lo + step]
+        shifted = np.matmul(block, box_flat, out=buf[:len(block)])
+        share = max(share, _leak_share(shifted.reshape(-1, *pots.shape[1:])))
+    _raise_leak(share)
     gram = 0.5 * field.spec.cell_volume * (box_flat @ pots.reshape(len(basis), -1).T)
     lhs = float(np.sum(w_tau * np.sum((coeffs @ gram) * coeffs, axis=1)))
     mode_list = [(np.array(m, dtype=float), c) for m, c in modes.items()
@@ -375,7 +397,9 @@ def annulus_conv(r, alpha):
             return 2.0 * s * s2 * total
         if s == 1.0:
             return 1.0
-        return 0.5 * (s * s - 1.0) * math.log((s + 1.0) / abs(s - 1.0)) + s
+        # log1p keeps the log's relative accuracy as s grows (small r)
+        log = math.log1p(2.0 / (s - 1.0)) if s > 1.0 else math.log((s + 1.0) / (1.0 - s))
+        return 0.5 * (s * s - 1.0) * log + s
 
     return _TWO_PI * r * (anti(hi_r / r) - anti(lo_r / r))
 

@@ -429,6 +429,23 @@ def test_annulus_matches_mpmath_to_large_radius(alpha):
             assert abs(coulomb.annulus_conv(float(r), alpha) / want - 1) <= 2e-15, f"r={r}"
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.25, 0.1])
+def test_annulus_matches_mpmath_at_small_radius(alpha):
+    """Small r puts both bounds s = 1/(r (1 +- a)) far above 1, where
+    (s + 1)/(s - 1) nears 1: the log is taken as log1p(2/(s - 1))."""
+    import mpmath as mp
+
+    def reference(r):
+        r, a = mp.mpf(r), mp.mpf(alpha)
+        anti = lambda s: (s * s - 1) / 2 * mp.log((s + 1) / abs(s - 1)) + s
+        return 2 * mp.pi * r * (anti(1 / (r * (1 - a))) - anti(1 / (r * (1 + a))))
+
+    with mp.workdps(40):
+        for r in np.geomspace(0.01, 0.5, 60):
+            want = reference(float(r))
+            assert abs(coulomb.annulus_conv(float(r), alpha) / want - 1) <= 3e-15, f"r={r}"
+
+
 def test_annulus_center_value():
     alpha = 0.3
     want = 8.0 * math.pi * alpha / (1.0 - alpha**2)
@@ -527,17 +544,86 @@ def test_periodic_identity_on_a_support_box():
 
 def test_periodic_identity_checks_support_on_the_box(monkeypatch):
     # rho and its 8^3 shifted fields (one +-m pair: two basis fields) are
-    # checked on the pad-1 support box, never on the whole 20^3 grid
+    # checked on the pad-1 support box, never on the whole 20^3 grid: rho
+    # first, then the shifted fields in blocks of at most _CHECK_BLOCK values
     rho = field.Density.compact_bump(1.0, 1.3)
     spec = field.GridSpec((20, 20, 20), (4.0 / 19,) * 3, (-2.0, -2.0, -2.0))
     box = _support_slices(field.density_to_field(rho, spec).values)
     dims = tuple(s.stop - s.start for s in box)
-    seen = []
-    monkeypatch.setattr(coulomb, "_check_support", lambda vals: seen.append(vals.shape))
-    coulomb.periodic_localization_identity(
-        rho, {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j}, ell=8.0, spec=spec)
     assert dims != spec.dims
-    assert seen == [dims, (8**3, *dims)]
+    for block in (1, 8000, 1 << 16, 1 << 21):
+        seen = []
+        monkeypatch.setattr(coulomb, "_CHECK_BLOCK", block)
+        monkeypatch.setattr(coulomb, "_leak_share", lambda vals: seen.append(vals.shape) or 0.0)
+        coulomb.periodic_localization_identity(
+            rho, {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j}, ell=8.0, spec=spec)
+        assert seen[0] == dims
+        blocks = seen[1:]
+        assert all(shape[1:] == dims for shape in blocks)
+        assert max(shape[0] for shape in blocks) <= max(1, block // math.prod(dims))
+        assert sum(shape[0] for shape in blocks) == 8**3
+
+
+def _leaking_identity_case():
+    """The geometry of test_periodic_identity_checks_every_shifted_field,
+    with f(x) = 1 - cos(2 pi x/ell + 1/2): the first shifted field that
+    leaks holds 1.2e-6 on the boundary layer, a later one 2.3e-6."""
+    rho = field.Density.gaussian(1.0, 1.0)
+    half = 5.5
+    spec = field.GridSpec((24, 24, 24), (2.0 * half / 23,) * 3, (-half,) * 3)
+    c = -0.5 * complex(math.cos(0.5), math.sin(0.5))
+    coeffs = {(0, 0, 0): 1.0, (1, 0, 0): c, (-1, 0, 0): c.conjugate()}
+    return rho, spec, coeffs, 4.0 * half
+
+
+def _largest_leak_share(rho, spec, f_coeffs, ell, n_tau=8):
+    """The largest boundary share over the shifted fields f(. - tau) rho,
+    each formed and summed on its own on the support box of rho."""
+    fld = field.density_to_field(rho, spec)
+    box = _support_slices(fld.values)
+    nodes, _ = np.polynomial.legendre.leggauss(n_tau)
+    tau_ax = 0.5 * ell * (nodes + 1.0)
+    xg, yg, zg = spec.meshgrid()
+    worst = 0.0
+    for t1, t2, t3 in itertools.product(tau_ax, repeat=3):
+        f_vals = np.zeros(spec.dims, dtype=complex)
+        for m, c in f_coeffs.items():
+            phase = (2.0 * math.pi / ell) * (
+                m[0] * (xg - t1) + m[1] * (yg - t2) + m[2] * (zg - t3))
+            f_vals += c * np.exp(1j * phase)
+        vals = np.abs(f_vals.real * fld.values)[box]
+        boundary = sum(float(face.sum()) for ax in range(3)
+                       for face in (np.take(vals, 0, axis=ax), np.take(vals, -1, axis=ax)))
+        if boundary > 1e-6 * vals.sum():
+            worst = max(worst, boundary / float(vals.sum()))
+    return worst
+
+
+def test_periodic_identity_leak_message_ignores_the_block_size(monkeypatch):
+    # the SupportError names the largest share over all 8^3 shifted fields,
+    # not over the first leaking block
+    rho, spec, coeffs, ell = _leaking_identity_case()
+    share = _largest_leak_share(rho, spec, coeffs, ell)
+    assert share > 1e-6
+    want = (f"boundary cells hold {share:.3e} of the mass; "
+            "density support must stay inside the grid box")
+    for block in (1, 8000, 1 << 16, 1 << 21):
+        monkeypatch.setattr(coulomb, "_CHECK_BLOCK", block)
+        with pytest.raises(field.SupportError) as err:
+            coulomb.periodic_localization_identity(rho, coeffs, ell=ell, spec=spec)
+        assert str(err.value) == want, f"block={block}"
+
+
+def test_periodic_identity_values_ignore_the_block_size(monkeypatch):
+    rho = field.Density.compact_bump(1.0, 1.3)
+    spec = field.GridSpec((20, 20, 20), (4.0 / 19,) * 3, (-2.0, -2.0, -2.0))
+    coeffs = {(1, 0, 0): 0.3 + 0.2j, (-1, 0, 0): 0.3 - 0.2j,
+              (0, 1, -1): 0.1 - 0.05j, (0, -1, 1): 0.1 + 0.05j}
+    got = set()
+    for block in (1, 8000, 1 << 16, 1 << 21):
+        monkeypatch.setattr(coulomb, "_CHECK_BLOCK", block)
+        got.add(coulomb.periodic_localization_identity(rho, coeffs, ell=8.0, spec=spec))
+    assert len(got) == 1
 
 
 def _overpadded_hartree(fld, shape, radius):
