@@ -6,6 +6,25 @@ and exposes the localized estimates the band is proved from (tetrahedron
 thermodynamic margins, constant-replacement terms, rough subadditivity,
 kinetic-energy band).  All bounds are C-relative: the unknown analysis
 constant is a user input, and every rate statement is C-independent.
+
+The band implements, for the quantum and xc variants,
+
+    |E(rho) - center(rho)| <= R(eps) = eps (int rho + int rho^2)
+        + C (1 + eps)/eps int |grad sqrt(rho)|^2
+        + C eps^-(4p - 1) int |grad rho^theta|^p
+
+(the classical variant reads int rho^(4/3) for int rho^2, drops the
+kinetic term and takes eps^-b, b = classical_b(p, theta)), and reports
+R* = R(eps*).  _optimum minimizes R over every eps > 0, so the band
+assumes the inequality for every eps > 0.  The building blocks here gate
+eps more narrowly: choice_ell_delta takes eps < 1/sqrt 2, flatness_error
+eps <= 1/2, subadditivity_gap eps <= 1, and kinetic.t_upper's
+3d-small-eps variant eps <= 1.  Whether the main theorem of arXiv
+1903.04046 (Lewin, Lieb & Seiringer) holds for every eps > 0 has not
+been checked against the paper's text in this repo.  The flag
+eps_star_above_half marks a band whose eps* lies above 1/2, beyond the
+range that every one of those building blocks accepts; such a band stands
+only if the theorem covers its eps*.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -626,8 +627,17 @@ def _incenter():
 
 @lru_cache(maxsize=2)
 def _tile_table(orders):
-    """(u, |grad u|, weights) at the quadrature nodes of u = 1_T * eta_1,
-    T tile 1 scaled to lam smearing radii, in units of the smearing radius.
+    """u = 1_T * eta_1 at its quadrature nodes, T tile 1 scaled to lam
+    smearing radii, in units of the smearing radius, with every per-node
+    array of _tile_integrals that depends on neither lam nor (theta, p).
+    A namespace of read-only arrays:
+
+        u, g, weights   u, |grad u| and the (n, 4) lam-polynomial weights
+        u2, u43, u53    u^2, u^(4/3) and u^(5/3)
+        live            index of the nodes with u > _LIVE_U
+        ul, gl          u and |grad u| there
+        kin             |grad u|^2 / (4 u) there
+        edge            index, into live, of the nodes with u <= _SUPPORT_EDGE_U
 
     int G(u, |grad u|) = sum_i G(u_i, g_i) (weights_i . (1, lam, lam^2,
     lam^3)) for every lam > 1/r_in (r_in the inradius of tile 1 at ell = 1,
@@ -662,6 +672,9 @@ def _tile_table(orders):
     convolved_indicator's 32-node edge rule stays within 2e-7 of a
     200-node rule in every integral (a 24-node rule, which errs by up to
     1e-4 in u near edge lines, moved int u by 3e-8 relative at lam = 20).
+
+    It is built once per orders, so a call of _tile_integrals forms only
+    the weights at its lam, the thg terms and the sums.
     """
     n_h, n_d, n_hc, n_c = orders
     tile = unit_cube_tetrahedra()[0]
@@ -731,8 +744,15 @@ def _tile_table(orders):
                         - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
             weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
     u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True)
-    table = (u, np.sqrt(np.einsum("ij,ij->i", grad, grad)), np.concatenate(weights))
-    for a in table:
+    g = np.sqrt(np.einsum("ij,ij->i", grad, grad))
+    live = np.flatnonzero(u > _LIVE_U)
+    ul, gl = u[live], g[live]
+    table = SimpleNamespace(
+        u=u, g=g, weights=np.concatenate(weights),
+        u2=u**2, u43=u ** (4.0 / 3.0), u53=u ** (5.0 / 3.0),
+        live=live, ul=ul, gl=gl, kin=gl**2 / (4.0 * ul),
+        edge=np.flatnonzero(ul <= _SUPPORT_EDGE_U))
+    for a in vars(table).values():
         a.flags.writeable = False  # cached: every caller shares it
     return table
 
@@ -749,7 +769,10 @@ def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
 
     so that rho0 u(x/rs) has the functionals rho0^a rs^(3 - q) I, with q
     the number of derivatives.  From _tile_table; all 24 tiles are
-    congruent, so every tile of every size reads the same table.
+    congruent, so every tile of every size reads the same table.  A call
+    forms only the weights w = weights . (1, lam, lam^2, lam^3), their
+    live subset, the thg terms and the seven sums; every other per-node
+    array comes from the table, with the bits it would have per call.
 
     kin and thg drop the nodes with u <= 1e-12, where
     convolved_indicator's roundoff (up to 6e-16 where the exact u is 0) is
@@ -764,24 +787,23 @@ def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
     """
     if not lam * _incenter()[1] > 1.0:
         raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
-    u, g, weights = _tile_table(orders)
-    w = weights @ lam ** np.arange(4.0)
-    live = u > _LIVE_U
-    ul, gl, wl = u[live], g[live], w[live]
-    terms = (theta * ul ** (theta - 1.0) * gl) ** p * wl
+    t = _tile_table(orders)
+    w = t.weights @ lam ** np.arange(4.0)
+    wl = w[t.live]
+    terms = (theta * t.ul ** (theta - 1.0) * t.gl) ** p * wl
     thg = float(np.sum(terms))
-    if np.sum(terms[ul <= _SUPPORT_EDGE_U]) > 1e-4 * thg:
+    if np.sum(terms[t.edge]) > 1e-4 * thg:
         raise ArithmeticError(
             f"|grad u^{theta:g}|^{p:g} peaks too near the edge of the tile's support")
     # elementwise products and a pairwise sum: a BLAS dot of this length
     # costs milliseconds where its threads are shared
     return {
-        "mass": float(np.sum(u * w)),
-        "l2": float(np.sum(u**2 * w)),
-        "l43": float(np.sum(u ** (4.0 / 3.0) * w)),
-        "l53": float(np.sum(u ** (5.0 / 3.0) * w)),
-        "kin": float(np.sum(gl**2 / (4.0 * ul) * wl)),
-        "tv": float(np.sum(g * w)),
+        "mass": float(np.sum(t.u * w)),
+        "l2": float(np.sum(t.u2 * w)),
+        "l43": float(np.sum(t.u43 * w)),
+        "l53": float(np.sum(t.u53 * w)),
+        "kin": float(np.sum(t.kin * wl)),
+        "tv": float(np.sum(t.g * w)),
         "thg": thg,
     }
 

@@ -179,6 +179,89 @@ def test_smeared_tile_table_against_doubled_orders(ell, delta):
             assert got[name] == pytest.approx(want[name], rel=1e-7), name
 
 
+def _tile_integrals_from_nodes(lam, theta, p, orders):
+    """_tile_integrals formed from the table's u, |grad u| and weights alone,
+    every per-node array recomputed per call."""
+    if not lam * tiling._incenter()[1] > 1.0:
+        raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
+    table = tiling._tile_table(orders)
+    u, g, weights = table.u, table.g, table.weights
+    w = weights @ lam ** np.arange(4.0)
+    live = u > tiling._LIVE_U
+    ul, gl, wl = u[live], g[live], w[live]
+    terms = (theta * ul ** (theta - 1.0) * gl) ** p * wl
+    thg = float(np.sum(terms))
+    if np.sum(terms[ul <= tiling._SUPPORT_EDGE_U]) > 1e-4 * thg:
+        raise ArithmeticError(
+            f"|grad u^{theta:g}|^{p:g} peaks too near the edge of the tile's support")
+    return {
+        "mass": float(np.sum(u * w)),
+        "l2": float(np.sum(u**2 * w)),
+        "l43": float(np.sum(u ** (4.0 / 3.0) * w)),
+        "l53": float(np.sum(u ** (5.0 / 3.0) * w)),
+        "kin": float(np.sum(gl**2 / (4.0 * ul) * wl)),
+        "tv": float(np.sum(g * w)),
+        "thg": thg,
+    }
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_tile_integrals_keep_the_bits_of_a_per_call_route():
+    """240 draws: lam log-uniform from just above 1/r_in to 1e6, (theta, p)
+    inside the gate of a random variant; values or raises must be equal."""
+    rng = np.random.default_rng(7)
+    gate = 1.0 / tiling._incenter()[1]
+    draws = [(gate * (1.0 + 1e-9), 0.5, 4.0), (1e6, 0.5, 4.0)]
+    for _ in range(240):
+        lam = float(np.exp(rng.uniform(math.log(gate * (1.0 + 1e-9)), math.log(1e6))))
+        p = float(rng.uniform(3.5, 12.0))
+        if rng.random() < 0.5:  # classical: theta p >= 4/3
+            theta = float(rng.uniform(4.0 / 3.0 / p, 1.0))
+        else:  # quantum and xc: 2 <= theta p <= 1 + p/2
+            theta = float(rng.uniform(2.0 / p, (1.0 + p / 2.0) / p))
+        draws.append((lam, theta, p))
+    raised = 0
+    for lam, theta, p in draws:
+        want = _outcome(_tile_integrals_from_nodes, lam, theta, p, tiling._TILE_ORDERS)
+        assert _outcome(tiling._tile_integrals, lam, theta, p) == want, (lam, theta, p)
+        raised += isinstance(want, tuple)
+    assert raised < len(draws) // 2  # most draws compare values, not messages
+    lam, theta, p = draws[0]
+    assert tiling._tile_integrals(lam, theta, p, DOUBLED) == _tile_integrals_from_nodes(
+        lam, theta, p, DOUBLED)
+    assert _outcome(tiling._tile_integrals, gate, 0.5, 4.0) == _outcome(
+        _tile_integrals_from_nodes, gate, 0.5, 4.0, tiling._TILE_ORDERS)
+
+
+@pytest.mark.parametrize("theta_p,p,passes", [(4.0 / 3.0, 6.0, True), (2.0, 11.0, True),
+                                              (4.0 / 3.0, 7.0, False), (2.0, 12.0, False)])
+def test_tile_integrals_keep_the_edge_check_at_the_gate_corners(theta_p, p, passes):
+    args = (20.0, theta_p / p, p)
+    want = _outcome(_tile_integrals_from_nodes, *args, tiling._TILE_ORDERS)
+    assert _outcome(tiling._tile_integrals, *args) == want
+    assert isinstance(want, dict) == passes
+
+
+@pytest.mark.parametrize("orders", [tiling._TILE_ORDERS, DOUBLED], ids=["default", "doubled"])
+def test_tile_table_is_one_read_only_cached_value(orders):
+    table = tiling._tile_table(orders)
+    tiling._tile_integrals(20.0, 0.5, 4.0, orders)
+    again = tiling._tile_table(orders)
+    assert again is table
+    assert set(vars(table)) == {"u", "g", "weights", "u2", "u43", "u53",
+                                "live", "ul", "gl", "kin", "edge"}
+    for name, a in vars(table).items():
+        assert isinstance(a, np.ndarray) and not a.flags.writeable, name
+    assert len(table.ul) == len(table.gl) == len(table.kin) == len(table.live) < len(table.u)
+    assert np.all(table.ul[table.edge] <= tiling._SUPPORT_EDGE_U)
+
+
 @pytest.mark.parametrize("ell,delta", TILE_PAIRS)
 def test_smeared_tile_table_mass_is_the_tile_volume(ell, delta):
     # int (u - 1_T) = 0: the table's integral of u is the volume V lam^3
