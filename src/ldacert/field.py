@@ -16,8 +16,8 @@ The analytic families (gaussian, compact-bump) carry closed-form or
 radial-quadrature functionals and Coulomb terms, so grid error never
 enters when an exact reference is wanted and certify samples nothing.
 The smeared tile needs no grid either: its Hartree term is closed-form,
-from the covariogram of the simplex, and its functionals are sums over
-one cached, scale-free quadrature table of the tile (tiling._tile_table).
+from the covariogram of the simplex, and its functionals come from one
+cached, scale-free quadrature table of the tile (tiling._tile_table).
 Every radial integral of the unit bump exp(-1/(1-u^2)), here and in
 tiling's mollifier, is a sum over one composite Gauss-Legendre rule.
 """
@@ -551,8 +551,9 @@ class SmearedTetra(Density):
         """The tile's functionals with no grid: rho0 xi = rho0 u(x/rs) with
         rs = delta/10 and u = 1_T * eta_1 on the tile scaled to lam = ell/rs
         smearing radii, so every integral but the mass is rho0^a rs^(3 - q)
-        I_G(lam), q the number of derivatives and I_G a sum over the one
-        scale-free table of tiling._tile_integrals.  The family's
+        I_G(lam), q the number of derivatives and I_G from the one
+        scale-free table of tiling._tile_integrals: a cubic in lam read
+        from its moments, or for thg a sum over its nodes.  The family's
         delta < ell/2 keeps lam above 20, past the table's bound 1/r_in
         (about 7.66).  The mass is rho0 ell^3/24, the tile's volume.
         """

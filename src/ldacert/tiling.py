@@ -24,8 +24,9 @@ the value and 3e-4 per smearing radius in the gradient (against 400
 nodes).
 
 The integrals of a smeared tile over space, chi_mass among them, are
-sums over one cached table of such values at the quadrature nodes of the
-scale-free tile (_tile_table), so they sample no grid.
+sums over one cached quadrature of the scale-free tile (_tile_quadrature),
+so they sample no grid.  Its weights are cubics in the tile's size, so all
+but thg are read from four lam moments per integrand (_tile_table).
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
@@ -608,6 +609,8 @@ _FACE_COPIES = ((0, 1), (1, 1), (2, 2))
 _LIVE_U = 1e-12
 #: thg carried by nodes with u at or below this must stay below 1e-4 of it
 _SUPPORT_EDGE_U = 1e-10
+#: nodes per block of the tile table's moment sums
+_MOMENT_BLOCK = 4096
 
 
 def _panel_rule(n, panels):
@@ -626,18 +629,11 @@ def _incenter():
 
 
 @lru_cache(maxsize=2)
-def _tile_table(orders):
+def _tile_quadrature(orders):
     """u = 1_T * eta_1 at its quadrature nodes, T tile 1 scaled to lam
-    smearing radii, in units of the smearing radius, with every per-node
-    array of _tile_integrals that depends on neither lam nor (theta, p).
-    A namespace of read-only arrays:
+    smearing radii, in units of the smearing radius: read-only arrays
 
         u, g, weights   u, |grad u| and the (n, 4) lam-polynomial weights
-        u2, u43, u53    u^2, u^(4/3) and u^(5/3)
-        live            index of the nodes with u > _LIVE_U
-        ul, gl          u and |grad u| there
-        kin             |grad u|^2 / (4 u) there
-        edge            index, into live, of the nodes with u <= _SUPPORT_EDGE_U
 
     int G(u, |grad u|) = sum_i G(u_i, g_i) (weights_i . (1, lam, lam^2,
     lam^3)) for every lam > 1/r_in (r_in the inradius of tile 1 at ell = 1,
@@ -673,8 +669,8 @@ def _tile_table(orders):
     200-node rule in every integral (a 24-node rule, which errs by up to
     1e-4 in u near edge lines, moved int u by 3e-8 relative at lam = 20).
 
-    It is built once per orders, so a call of _tile_integrals forms only
-    the weights at its lam, the thg terms and the sums.
+    _tile_table derives from it, once per orders, everything a call of
+    _tile_integrals reads.
     """
     n_h, n_d, n_hc, n_c = orders
     tile = unit_cube_tetrahedra()[0]
@@ -744,17 +740,118 @@ def _tile_table(orders):
                         - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
             weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
     u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True)
-    g = np.sqrt(np.einsum("ij,ij->i", grad, grad))
+    nodes = SimpleNamespace(u=u, g=np.sqrt(np.einsum("ij,ij->i", grad, grad)),
+                            weights=np.concatenate(weights))
+    for a in vars(nodes).values():
+        a.flags.writeable = False  # cached: every caller shares it
+    return nodes
+
+
+def _moment_sums(f, weights):
+    """M[k][j] = sum_i f[k, i] weights[i, j] as Python integers over one
+    common denominator, summed with float64 error-free transformations.
+
+    Dekker's two-product splits each product into p + e, e exact but for
+    the rounding of its last term, below 2^-80 |p|.  Within a block of
+    nodes with sum |p| < 2^x, adding and subtracting c = 1.5 2^(x + 1)
+    rounds each p to a multiple of q = 2^(x - 51); those add up exactly in
+    float64 in any order, since every partial sum is a multiple of q below
+    2^53 q.  The remainders (each below q/2) and the e add up in float64,
+    and the blocks' sums add up in integers.  So each moment is within
+    about 2^-80 sum_i |p| of the quadrature sum (the e's last roundings
+    dominate), and it is kept exactly.
+    """
+    # the blocks' arrays stay in cache and are reused: fresh arrays of the
+    # table's size cost more than the arithmetic
+    ah, al, p, e = np.empty((4, len(f), _MOMENT_BLOCK))
+    sums = []
+    for column in weights.T:
+        rows = np.flatnonzero(column)  # corner nodes weigh lam^0 only, strips lam^0 and lam^1
+        f_j, w_j = (f, column) if len(rows) == len(column) else (f[:, rows], column[rows])
+        parts = [[] for _ in f]
+        for start in range(0, len(w_j), _MOMENT_BLOCK):
+            a, w = f_j[:, start:start + _MOMENT_BLOCK], w_j[start:start + _MOMENT_BLOCK]
+            ah_, al_, p_, e_ = (x[:, :len(w)] for x in (ah, al, p, e))
+            np.multiply(a, 134217729.0, out=ah_)  # Veltkamp's split into 26-bit halves
+            np.subtract(ah_, a, out=al_)
+            ah_ -= al_
+            np.subtract(a, ah_, out=al_)
+            wh = 134217729.0 * w
+            wh -= wh - w
+            np.multiply(a, w, out=p_)
+            np.multiply(ah_, wh, out=e_)  # e = ((ah wh - p) + ah wl) + al w
+            e_ -= p_
+            ah_ *= w - wh
+            e_ += ah_
+            al_ *= w
+            e_ += al_
+            c = np.ldexp(1.5, np.frexp(np.sum(np.abs(p_, out=ah_), axis=1))[1] + 1)[:, None]
+            hi = np.add(p_, c, out=ah_)
+            hi -= c
+            p_ -= hi
+            p_ += e_
+            for k, pair in enumerate(zip(np.sum(hi, axis=1).tolist(), np.sum(p_, axis=1).tolist())):
+                parts[k] += pair
+        sums.append([[x.as_integer_ratio() for x in xs] for xs in parts])
+    den = max(d for column in sums for xs in column for _, d in xs)
+    return tuple(zip(*[[sum(n * (den // d) for n, d in xs) for xs in column]
+                       for column in sums])), den
+
+
+@lru_cache(maxsize=2)
+def _tile_table(orders):
+    """What a call of _tile_integrals reads, derived once per orders from
+    _tile_quadrature's nodes (u, g, W):
+
+        moments      M[k] = (sum_i f_k(i) W[i, j] for j = 0..3), integers
+                     over den, for f_k = u, u^2, u^(4/3), u^(5/3), the kin
+                     integrand g^2/(4u) (0 where u <= _LIVE_U) and g
+        den          the common denominator of the moments
+        weights      W at the nodes with u > _LIVE_U, (n_live, 4)
+        ul, gl       u and g there
+        edge         index, into those, of the nodes with u <= _SUPPORT_EDGE_U
+
+    Six integrals are sum_i f_k(i) (W[i] . (1, lam, lam^2, lam^3)) =
+    M[k] . (1, lam, lam^2, lam^3): a call evaluates that in integers and
+    rounds once, to the double nearest the quadrature sum at exact lam
+    powers, unless that sum lies within the moments' error (about 2^-80
+    of their sums of |terms|) of a midpoint between doubles.  thg's
+    integrand depends on (theta, p), so it keeps a sum over the live
+    nodes.  The arrays are read-only and the moments are tuples: every
+    caller shares them.
+    """
+    nodes = _tile_quadrature(orders)
+    u, g = nodes.u, nodes.g
     live = np.flatnonzero(u > _LIVE_U)
     ul, gl = u[live], g[live]
-    table = SimpleNamespace(
-        u=u, g=g, weights=np.concatenate(weights),
-        u2=u**2, u43=u ** (4.0 / 3.0), u53=u ** (5.0 / 3.0),
-        live=live, ul=ul, gl=gl, kin=gl**2 / (4.0 * ul),
-        edge=np.flatnonzero(ul <= _SUPPORT_EDGE_U))
-    for a in vars(table).values():
-        a.flags.writeable = False  # cached: every caller shares it
+    kin = np.zeros_like(u)
+    kin[live] = gl**2 / (4.0 * ul)
+    moments, den = _moment_sums(np.stack([u, u**2, u ** (4.0 / 3.0), u ** (5.0 / 3.0), kin, g]),
+                                nodes.weights)
+    table = SimpleNamespace(moments=moments, den=den, weights=nodes.weights[live],
+                            ul=ul, gl=gl, edge=np.flatnonzero(ul <= _SUPPORT_EDGE_U))
+    for a in (table.weights, table.ul, table.gl, table.edge):
+        a.flags.writeable = False
     return table
+
+
+#: the integrals of _tile_integrals read from _tile_table's moments, in its order
+_MOMENT_NAMES = ("mass", "l2", "l43", "l53", "kin", "tv")
+
+
+def _tile_moments(lam, orders=_TILE_ORDERS):
+    """The integrals of _tile_integrals other than thg, a dict: each is
+    M[k] . (1, lam, lam^2, lam^3) with _tile_table's moments M, evaluated
+    in integers (lam = n/d exactly) and rounded once, so it is the double
+    nearest the quadrature sum at exact lam powers.  O(1) per call."""
+    if not lam * _incenter()[1] > 1.0:
+        raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
+    t = _tile_table(orders)
+    n, d = float(lam).as_integer_ratio()
+    powers = (d**3, n * d * d, n * n * d, n**3)
+    den = t.den * d**3
+    return {name: sum(m * x for m, x in zip(row, powers)) / den  # int / int rounds correctly
+            for name, row in zip(_MOMENT_NAMES, t.moments)}
 
 
 def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
@@ -769,10 +866,10 @@ def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
 
     so that rho0 u(x/rs) has the functionals rho0^a rs^(3 - q) I, with q
     the number of derivatives.  From _tile_table; all 24 tiles are
-    congruent, so every tile of every size reads the same table.  A call
-    forms only the weights w = weights . (1, lam, lam^2, lam^3), their
-    live subset, the thg terms and the seven sums; every other per-node
-    array comes from the table, with the bits it would have per call.
+    congruent, so every tile of every size reads the same table.  The
+    first six come from its lam moments (_tile_moments), each the double
+    nearest its quadrature sum; a call forms only thg's terms, with the
+    live nodes' weights at its lam, and their sum.
 
     kin and thg drop the nodes with u <= 1e-12, where
     convolved_indicator's roundoff (up to 6e-16 where the exact u is 0) is
@@ -785,27 +882,16 @@ def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
     smallest tiles (lam = 20) that happens from p = 7 on at theta p = 4/3,
     and from p = 12 on at theta p = 2.
     """
-    if not lam * _incenter()[1] > 1.0:
-        raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
+    integrals = _tile_moments(lam, orders)
     t = _tile_table(orders)
-    w = t.weights @ lam ** np.arange(4.0)
-    wl = w[t.live]
-    terms = (theta * t.ul ** (theta - 1.0) * t.gl) ** p * wl
-    thg = float(np.sum(terms))
-    if np.sum(terms[t.edge]) > 1e-4 * thg:
+    terms = (theta * t.ul ** (theta - 1.0) * t.gl) ** p * (t.weights @ lam ** np.arange(4.0))
+    # an elementwise product and a pairwise sum: a BLAS dot of this length
+    # costs milliseconds where its threads are shared
+    integrals["thg"] = float(np.sum(terms))
+    if np.sum(terms[t.edge]) > 1e-4 * integrals["thg"]:
         raise ArithmeticError(
             f"|grad u^{theta:g}|^{p:g} peaks too near the edge of the tile's support")
-    # elementwise products and a pairwise sum: a BLAS dot of this length
-    # costs milliseconds where its threads are shared
-    return {
-        "mass": float(np.sum(t.u * w)),
-        "l2": float(np.sum(t.u2 * w)),
-        "l43": float(np.sum(t.u43 * w)),
-        "l53": float(np.sum(t.u53 * w)),
-        "kin": float(np.sum(t.kin * wl)),
-        "tv": float(np.sum(t.g * w)),
-        "thg": thg,
-    }
+    return integrals
 
 
 def _tile_distance(vertices, pts, cutoff):
@@ -875,14 +961,14 @@ def xi_grad_values(cfg, j, points):
 
 
 def _chi_integral(cfg, j, name, q):
-    """s^3 rs^(3 - q) times integral name of _tile_integrals, q the number
+    """s^3 rs^(3 - q) times integral name of _tile_moments, q the number
     of derivatives it takes: chi_j = s^3 u(x/rs) with u = 1_T * eta_1 on
     the shrunk tile, which spans lam = (1 - eps) ell/rs > 10 smearing
     radii.  All 24 tiles are congruent, so one value serves every j."""
     if not 1 <= j <= 24:
         raise ValueError(f"tile index must lie in 1..24, got {j}")
     rs = cfg.smear_radius
-    value = _tile_integrals((1.0 - cfg.eps) * cfg.ell / rs, 0.5, 2.0)[name]
+    value = _tile_moments((1.0 - cfg.eps) * cfg.ell / rs)[name]
     return rs ** (3 - q) * value / (1.0 - cfg.eps) ** 3
 
 
@@ -896,7 +982,7 @@ def chi_mass(cfg, j):
 
 def sqrt_chi_grad_norm(cfg, j):
     """Dirichlet integral of sqrt(chi_j), i.e. int |grad sqrt(chi_j)|^2:
-    s^3 rs kin of _tile_integrals."""
+    s^3 rs kin of _tile_moments."""
     return _chi_integral(cfg, j, "kin", 2)
 
 

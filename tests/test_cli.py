@@ -39,14 +39,14 @@ TETRA_JSON = (
     '"model": "tf-dirac", "model_A": 9.1155997446911954, "model_B": '
     '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
     '1.6399999999999999}, "functionals": {"mass": 0.33333333333333331, "l2": '
-    '0.2982895180142156, "l43": 0.31779112647552482, "l53": '
-    '0.30670308969745341, "kin": 54.578965689749396, "tv": '
+    '0.2982895180142156, "l43": 0.31779112647552493, "l53": '
+    '0.30670308969745341, "kin": 54.57896568974941, "tv": '
     '3.5607809727244333, "thg": 13842.279471373546, "theta": 0.5, "p": 4, '
     '"hartree": 0.13462435100956757}, "lda": 2.5610751838051904, '
     '"epsilon_star": 9.2957349831121974, "rhs": {"bulk": 5.8713986354044856, '
-    '"kin": 60.450364324596926, "theta": 4.1395354657700508e-11, "total": '
-    '66.321762960042804}, "band": [-63.760687776237617, 68.882838143847991], '
-    '"advisory_envelope": [2.2746051587222462, 3452.2359682064057], "flags": '
+    '"kin": 60.45036432459694, "theta": 4.1395354657700508e-11, "total": '
+    '66.321762960042818}, "band": [-63.760687776237631, 68.882838143848005], '
+    '"advisory_envelope": [2.2746051587222462, 3452.2359682064066], "flags": '
     '["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 
@@ -297,6 +297,20 @@ def test_grid_cli_read_matches_library(runner, tmp_path):
     g = field.read_grid(str(path))
     assert g.spec == spec
     np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_package_import_loads_no_numpy():
+    # the package's re-exports of field load on first use
+    probe = ("import sys, ldacert; assert 'numpy' not in sys.modules, 'numpy'; "
+             "from ldacert import Density, write_grid; import ldacert.field as f; "
+             "assert Density is f.Density and write_grid is f.write_grid; "
+             "assert ldacert.FunctionalSet is f.FunctionalSet; "
+             "assert not hasattr(ldacert, 'nothing'); print('ok')")
+    env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 _IMPORT_PROBE = """

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,12 +182,12 @@ def test_smeared_tile_table_against_doubled_orders(ell, delta):
 
 
 def _tile_integrals_from_nodes(lam, theta, p, orders):
-    """_tile_integrals formed from the table's u, |grad u| and weights alone,
-    every per-node array recomputed per call."""
+    """_tile_integrals formed per call from the quadrature's u, |grad u| and
+    weights alone, every sum a float64 sum over the nodes."""
     if not lam * tiling._incenter()[1] > 1.0:
         raise ValueError(f"the tile table needs lam > 1/r_in, got lam = {lam}")
-    table = tiling._tile_table(orders)
-    u, g, weights = table.u, table.g, table.weights
+    nodes = tiling._tile_quadrature(orders)
+    u, g, weights = nodes.u, nodes.g, nodes.weights
     w = weights @ lam ** np.arange(4.0)
     live = u > tiling._LIVE_U
     ul, gl, wl = u[live], g[live], w[live]
@@ -205,6 +207,38 @@ def _tile_integrals_from_nodes(lam, theta, p, orders):
     }
 
 
+def _exact_dot(a, b):
+    """sum_i a_i b_i exactly, as a Fraction: each double is a 53-bit integer
+    times a power of 2, so the sum is one Python integer over a power of 2."""
+    nz = (a != 0.0) & (b != 0.0)
+    (ma, ea), (mb, eb) = np.frexp(a[nz]), np.frexp(b[nz])
+    ia, ib = ((m * 2.0**53).astype(np.int64).tolist() for m in (ma, mb))
+    ex = (ea + eb).tolist()
+    lo = min(ex, default=0)
+    total = sum((x * y) << (e - lo) for x, y, e in zip(ia, ib, ex))
+    return Fraction(total) * Fraction(2) ** (lo - 106)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_moments(orders):
+    """The moments sum_i f_k(i) weights[i, j] of the six lam-polynomial
+    integrands, exactly, from the same per-node doubles as the per-node route."""
+    nodes = tiling._tile_quadrature(orders)
+    u, g, weights = nodes.u, nodes.g, nodes.weights
+    live = u > tiling._LIVE_U
+    kin = np.zeros_like(u)
+    kin[live] = g[live] ** 2 / (4.0 * u[live])
+    rows = (u, u**2, u ** (4.0 / 3.0), u ** (5.0 / 3.0), kin, g)
+    return [[_exact_dot(f, np.ascontiguousarray(weights[:, j])) for j in range(4)] for f in rows]
+
+
+def _exact_integrals(lam, orders):
+    """The six lam-polynomial integrals of the quadrature at exact powers of lam."""
+    powers = [Fraction(lam) ** j for j in range(4)]
+    return {name: sum(m * x for m, x in zip(row, powers))
+            for name, row in zip(tiling._MOMENT_NAMES, _exact_moments(orders))}
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -212,9 +246,25 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def test_tile_integrals_keep_the_bits_of_a_per_call_route():
+def _check_against_nodes(lam, theta, p, orders):
+    """thg and every raise equal the per-node route's; each other value is
+    the double nearest the exact quadrature sum, so it lies at least as
+    close to it as the per-node float64 sum.  True if the call raised."""
+    got = _outcome(tiling._tile_integrals, lam, theta, p, orders)
+    want = _outcome(_tile_integrals_from_nodes, lam, theta, p, orders)
+    if isinstance(want, tuple):
+        assert got == want, (lam, theta, p)
+        return True
+    assert isinstance(got, dict) and got["thg"] == want["thg"], (lam, theta, p)
+    for name, ref in _exact_integrals(lam, orders).items():
+        assert got[name] == float(ref), (name, lam)
+        assert abs(Fraction(got[name]) - ref) <= abs(Fraction(want[name]) - ref), (name, lam)
+    return False
+
+
+def test_tile_integrals_keep_thg_and_round_the_other_sums_nearest():
     """240 draws: lam log-uniform from just above 1/r_in to 1e6, (theta, p)
-    inside the gate of a random variant; values or raises must be equal."""
+    inside the gate of a random variant."""
     rng = np.random.default_rng(7)
     gate = 1.0 / tiling._incenter()[1]
     draws = [(gate * (1.0 + 1e-9), 0.5, 4.0), (1e6, 0.5, 4.0)]
@@ -226,39 +276,33 @@ def test_tile_integrals_keep_the_bits_of_a_per_call_route():
         else:  # quantum and xc: 2 <= theta p <= 1 + p/2
             theta = float(rng.uniform(2.0 / p, (1.0 + p / 2.0) / p))
         draws.append((lam, theta, p))
-    raised = 0
-    for lam, theta, p in draws:
-        want = _outcome(_tile_integrals_from_nodes, lam, theta, p, tiling._TILE_ORDERS)
-        assert _outcome(tiling._tile_integrals, lam, theta, p) == want, (lam, theta, p)
-        raised += isinstance(want, tuple)
+    raised = sum(_check_against_nodes(*draw, tiling._TILE_ORDERS) for draw in draws)
     assert raised < len(draws) // 2  # most draws compare values, not messages
-    lam, theta, p = draws[0]
-    assert tiling._tile_integrals(lam, theta, p, DOUBLED) == _tile_integrals_from_nodes(
-        lam, theta, p, DOUBLED)
-    assert _outcome(tiling._tile_integrals, gate, 0.5, 4.0) == _outcome(
-        _tile_integrals_from_nodes, gate, 0.5, 4.0, tiling._TILE_ORDERS)
+    assert not _check_against_nodes(*draws[0], DOUBLED)
+    assert _check_against_nodes(gate, 0.5, 4.0, tiling._TILE_ORDERS)
 
 
 @pytest.mark.parametrize("theta_p,p,passes", [(4.0 / 3.0, 6.0, True), (2.0, 11.0, True),
                                               (4.0 / 3.0, 7.0, False), (2.0, 12.0, False)])
 def test_tile_integrals_keep_the_edge_check_at_the_gate_corners(theta_p, p, passes):
-    args = (20.0, theta_p / p, p)
-    want = _outcome(_tile_integrals_from_nodes, *args, tiling._TILE_ORDERS)
-    assert _outcome(tiling._tile_integrals, *args) == want
-    assert isinstance(want, dict) == passes
+    assert _check_against_nodes(20.0, theta_p / p, p, tiling._TILE_ORDERS) != passes
 
 
 @pytest.mark.parametrize("orders", [tiling._TILE_ORDERS, DOUBLED], ids=["default", "doubled"])
 def test_tile_table_is_one_read_only_cached_value(orders):
+    nodes = tiling._tile_quadrature(orders)
     table = tiling._tile_table(orders)
     tiling._tile_integrals(20.0, 0.5, 4.0, orders)
-    again = tiling._tile_table(orders)
-    assert again is table
-    assert set(vars(table)) == {"u", "g", "weights", "u2", "u43", "u53",
-                                "live", "ul", "gl", "kin", "edge"}
-    for name, a in vars(table).items():
-        assert isinstance(a, np.ndarray) and not a.flags.writeable, name
-    assert len(table.ul) == len(table.gl) == len(table.kin) == len(table.live) < len(table.u)
+    assert tiling._tile_table(orders) is table and tiling._tile_quadrature(orders) is nodes
+    assert set(vars(nodes)) == {"u", "g", "weights"}
+    assert set(vars(table)) == {"moments", "den", "weights", "ul", "gl", "edge"}
+    arrays = [*vars(nodes).values(), table.weights, table.ul, table.gl, table.edge]
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+    assert [[type(m) for m in row] for row in table.moments] == [[int] * 4] * 6
+    live = nodes.u > tiling._LIVE_U
+    assert np.array_equal(table.weights, nodes.weights[live]) and table.weights.flags.c_contiguous
+    assert len(table.ul) == len(table.gl) == len(table.weights) < len(nodes.u)
     assert np.all(table.ul[table.edge] <= tiling._SUPPORT_EDGE_U)
 
 

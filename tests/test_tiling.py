@@ -77,6 +77,11 @@ def test_chi_mass_is_the_tile_volume(ell, delta):
     delta = ell/2, where the shrunk tile spans lam = 10.4 smearing radii."""
     cfg = tiling.TilingConfig(ell, delta)
     assert tiling.chi_mass(cfg, 1) == pytest.approx(ell**3 / 24.0, rel=1e-8)
+    # chi_mass and sqrt_chi_grad_norm read the certificates' mass and kin, bit for bit
+    rs, shrink = cfg.smear_radius, (1.0 - cfg.eps) ** 3
+    integrals = tiling._tile_integrals((1.0 - cfg.eps) * ell / rs, 0.5, 4.0)
+    assert tiling.chi_mass(cfg, 1) == rs**3 * integrals["mass"] / shrink
+    assert tiling.sqrt_chi_grad_norm(cfg, 1) == rs * integrals["kin"] / shrink
     for j in (0, 25):
         with pytest.raises(ValueError):
             tiling.chi_mass(cfg, j)
