@@ -170,6 +170,42 @@ def _gaussian_power_integral(sigma, mass, s):
     return mass**s * (2.0 * math.pi * sigma**2) ** (1.5 * (1.0 - s)) * s**-1.5
 
 
+def _gaussian_thg(sigma, mass, theta, p):
+    """int (theta rho^(theta - 1) |grad rho|)^p of the gaussian.
+
+    The product of the closed form's factors, or, where one factor leaves
+    the double range before the product does (the product is then not
+    finite, or 0 with mass > 0), the single power
+    c(theta, p) (mass^(theta p / e) sigma)^e with e = 3 - p - 3 theta p,
+    whose base stays in range whenever the value does.  Both agree with
+    mpmath to roundoff at mass 1; the product keeps the bits it always had.
+    """
+    if mass == 0.0:
+        return 0.0
+    tp = theta * p
+    try:
+        amp = mass * (2.0 * math.pi * sigma**2) ** -1.5
+        thg = (
+            (theta / sigma**2) ** p
+            * amp**tp
+            * 2.0
+            * math.pi
+            * math.gamma((p + 3.0) / 2.0)
+            * (2.0 * sigma**2 / tp) ** ((p + 3.0) / 2.0)
+        )
+    except OverflowError:
+        thg = math.inf
+    if 0.0 < thg < math.inf:
+        return thg
+    c = (theta**p * (2.0 * math.pi) ** (1.0 - 1.5 * tp) * math.gamma((p + 3.0) / 2.0)
+         * (2.0 / tp) ** ((p + 3.0) / 2.0))
+    e = 3.0 - p - 3.0 * tp
+    try:
+        return c * (mass ** (tp / e) * sigma) ** e if e else c * mass**tp
+    except OverflowError:  # the value itself lies beyond the double range
+        return math.inf
+
+
 def gaussian_hartree(sigma, mass):
     """Closed-form self-interaction of the gaussian: mass^2/(2 sqrt(pi) sigma)."""
     return mass**2 / (2.0 * math.sqrt(math.pi) * sigma)
@@ -420,19 +456,6 @@ class Gaussian(Density):
 
     def functionals(self, theta, p):
         sigma, mass = self.sigma, self.mass
-        tp = theta * p
-        if mass == 0.0:
-            thg = 0.0
-        else:
-            amp = mass * (2.0 * math.pi * sigma**2) ** -1.5
-            thg = (
-                (theta / sigma**2) ** p
-                * amp**tp
-                * 2.0
-                * math.pi
-                * math.gamma((p + 3.0) / 2.0)
-                * (2.0 * sigma**2 / tp) ** ((p + 3.0) / 2.0)
-            )
         return FunctionalSet(
             mass=mass,
             l2=_gaussian_power_integral(sigma, mass, 2.0),
@@ -440,7 +463,7 @@ class Gaussian(Density):
             l53=_gaussian_power_integral(sigma, mass, 5.0 / 3.0),
             kin=0.75 * mass / sigma**2,
             tv=2.0 * mass / sigma * math.sqrt(2.0 / math.pi),
-            thg=thg,
+            thg=_gaussian_thg(sigma, mass, theta, p),
             theta=theta,
             p=p,
         )

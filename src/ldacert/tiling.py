@@ -21,7 +21,8 @@ evaluation costs O(faces).  Away from the edge lines it is exact to table
 accuracy (about 1e-13); within a fraction of the smearing radius of an
 edge line the 32-node rule of the edge integrals errs by up to 7e-5 in
 the value and 3e-4 per smearing radius in the gradient (against 400
-nodes).
+nodes).  A value depends on its point alone, since no BLAS call is made:
+any grouping of the points gives the same bits.
 
 The integrals of a smeared tile over space, chi_mass among them, are
 sums over one cached quadrature of the scale-free tile (_tile_quadrature),
@@ -472,6 +473,8 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     to 0 before any face product is taken.  A face with |h_f| >= rs adds
     an exact 0 (Q_c, K_g and its edge integrals vanish there), so each
     face's terms are computed only on the points within rs of its plane.
+    Every product is elementwise or an einsum (no BLAS call), so a value
+    depends on its point alone, not on the other points of the call.
 
     Conditioning: the split is exact, but the pieces grow like 1/dist
     near the vertices and edge lines of T, so the absolute error there
@@ -496,12 +499,8 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
     grad = np.zeros((n_pts, 3))
     # u = 0 outside the box of T' (widened by tol against rounding)
     lo, hi = _reach_box(key, rs)
-    inbox = np.all((pts >= lo - tol) & (pts <= hi + tol), axis=1)
-    if np.count_nonzero(inbox) == 1:
-        # BLAS rounds a one-row product unlike the same row of a batch
-        inbox[:] = True
-    rows = np.flatnonzero(inbox)
-    h_all = pts[rows] @ normals.T - offsets
+    rows = np.flatnonzero(np.all((pts >= lo - tol) & (pts <= hi + tol), axis=1))
+    h_all = np.einsum("ns,fs->nf", pts[rows], normals) - offsets
 
     deep = np.all(h_all <= -rs, axis=1)
     u[rows[deep]] = 1.0
@@ -520,7 +519,7 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
         # displacement large enough that every face-normal projection
         # clears tol (worst projection of the nudge direction is ~0.13)
         p[degenerate] += (3e-12 * scale) * _NUDGE_DIR
-        h[degenerate] = p[degenerate] @ normals.T - offsets
+        h[degenerate] = np.einsum("ns,fs->nf", p[degenerate], normals) - offsets
         e[degenerate] = _edge_distances(p[degenerate], ea, edge_m)
 
     omega = _solid_angle_sum(ea, p)
@@ -576,9 +575,9 @@ def convolved_indicator(vertices, rs, points, want_grad=False):
                 rad = 0.5 * (p1 - p0)
                 psi = ctr[:, None] + rad[:, None] * _GL_X[None, :]
                 targ = np.sqrt(b2m[:, None] + e2m[:, None] * np.tan(psi) ** 2)
-                acc_q += rad * (_qc_profile(targ, rs) @ _GL_W)
+                acc_q += rad * np.einsum("nk,k->n", _qc_profile(targ, rs), _GL_W)
                 if want_grad:
-                    acc_g += rad * (_kg_profile(targ, rs) @ _GL_W)
+                    acc_g += rad * np.einsum("nk,k->n", _kg_profile(targ, rs), _GL_W)
             esum[idx] += se[idx] * acc_q
             if want_grad:
                 gsum[idx] += se[idx] * acc_g
@@ -611,6 +610,10 @@ _LIVE_U = 1e-12
 _SUPPORT_EDGE_U = 1e-10
 #: nodes per block of the tile table's moment sums
 _MOMENT_BLOCK = 4096
+#: nodes per convolved_indicator call of the table build, which caps its
+#: (n, 32) edge-rule arrays; a value depends on its node alone, so the
+#: blocks change no bit
+_TABLE_BLOCK = 16384
 
 
 def _panel_rule(n, panels):
@@ -739,9 +742,13 @@ def _tile_quadrature(orders):
                         + (along[:, None] * s)[..., None] * edge_u[f, k]
                         - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
             weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
-    u, grad = convolved_indicator(lam * tile.vertices, 1.0, np.concatenate(pts), want_grad=True)
-    nodes = SimpleNamespace(u=u, g=np.sqrt(np.einsum("ij,ij->i", grad, grad)),
-                            weights=np.concatenate(weights))
+    pts = np.concatenate(pts)
+    u, g = np.empty(len(pts)), np.empty(len(pts))
+    for start in range(0, len(pts), _TABLE_BLOCK):
+        block = slice(start, start + _TABLE_BLOCK)
+        u[block], grad = convolved_indicator(lam * tile.vertices, 1.0, pts[block], want_grad=True)
+        g[block] = np.sqrt(np.einsum("ij,ij->i", grad, grad))
+    nodes = SimpleNamespace(u=u, g=g, weights=np.concatenate(weights))
     for a in vars(nodes).values():
         a.flags.writeable = False  # cached: every caller shares it
     return nodes
@@ -1230,11 +1237,6 @@ def _tile_nodes(verts, rs, spec):
             z_hi[bound <= 0.0] = -np.inf
     start = np.searchsorted(zs, z_lo.ravel(), "left")
     count = np.maximum(np.searchsorted(zs, z_hi.ravel(), "right") - start, 0)
-    if count.sum() < 2:
-        # BLAS rounds a one-row product unlike the same row of a batch,
-        # so a lone node is evaluated among all the box nodes
-        start[:] = 0
-        count[:] = len(zs)
     col = np.repeat(np.arange(len(count)), count)
     iz = np.arange(len(col)) - np.repeat(np.cumsum(count) - count - start, count)
     ix, iy = np.divmod(col, len(ys))

@@ -40,13 +40,13 @@ TETRA_JSON = (
     '-0.73855876638202234, "c_tf": 9.1155997446911954, "c_lo": '
     '1.6399999999999999}, "functionals": {"mass": 0.33333333333333331, "l2": '
     '0.2982895180142156, "l43": 0.31779112647552493, "l53": '
-    '0.30670308969745341, "kin": 54.57896568974941, "tv": '
-    '3.5607809727244333, "thg": 13842.279471373546, "theta": 0.5, "p": 4, '
+    '0.30670308969745341, "kin": 54.578965689750056, "tv": '
+    '3.5607809727244333, "thg": 13842.279471373558, "theta": 0.5, "p": 4, '
     '"hartree": 0.13462435100956757}, "lda": 2.5610751838051904, '
     '"epsilon_star": 9.2957349831121974, "rhs": {"bulk": 5.8713986354044856, '
-    '"kin": 60.45036432459694, "theta": 4.1395354657700508e-11, "total": '
-    '66.321762960042818}, "band": [-63.760687776237631, 68.882838143848005], '
-    '"advisory_envelope": [2.2746051587222462, 3452.2359682064066], "flags": '
+    '"kin": 60.450364324597658, "theta": 4.1395354657700547e-11, "total": '
+    '66.321762960043543}, "band": [-63.760687776238356, 68.88283814384873], '
+    '"advisory_envelope": [2.2746051587222462, 3452.2359682064443], "flags": '
     '["conjectured_constant", "eps_star_above_half"]}' "\n"
 )
 
@@ -110,6 +110,17 @@ def test_certify_smeared_tetra_json(runner):
     result = runner.invoke(cli.main, ["certify", "--density", TETRA])
     assert result.exit_code == 0
     assert result.stdout == TETRA_JSON
+
+
+def test_certify_exactly_flat_gaussian(runner):
+    """Every band functional of this gaussian underflows to 0 while its
+    mass does not, so the optimum is flat: eps* = 0 and a zero band."""
+    result = runner.invoke(cli.main, ["certify", "--density", "builtin:gaussian,sigma=1e154,mass=1e-20"])
+    assert result.exit_code == 0
+    doc = _json_payload(result)
+    assert doc["flags"] == ["exactly_flat"]
+    assert doc["functionals"]["thg"] == 0.0 and doc["functionals"]["mass"] == 1e-20
+    assert doc["epsilon_star"] == 0.0 and doc["band"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("extra", [["--theta", "0.05"],

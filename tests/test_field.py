@@ -34,6 +34,24 @@ def test_gaussian_kin_formula():
         assert F.kin == pytest.approx(mass * 0.75 / sigma**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma,mass", [(1e-41, 1.0), (1e-38, 1.0), (1e40, 1.0), (1e45, 1.0),
+                                        (1e154, 1e-20)])
+def test_gaussian_thg_keeps_its_range(sigma, mass):
+    """At (theta, p) = (0.5, 4) one factor of the closed-form product
+    overflows or underflows long before thg does.  Against mpmath: 1e-13
+    relative where thg is a normal double, two subnormal steps below that
+    (sigma 1e45), and 0 where it underflows (sigma 1e154)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        s, m = mp.mpf(sigma), mp.mpf(mass)
+        amp = m * (2 * mp.pi * s**2) ** -1.5
+        want = float((0.5 / s**2) ** 4 * amp**2 * 2 * mp.pi * mp.gamma(3.5) * (s**2) ** 3.5)
+    got = field.functionals(field.Density.gaussian(sigma, mass)).thg
+    assert abs(got - want) <= max(1e-13 * want, 2 * math.ulp(0.0))
+    assert (got == 0.0) == (sigma == 1e154)
+
+
 @pytest.mark.parametrize("c", [0.3, 2.0, 17.5])
 def test_amplitude_power_scaling(c):
     base = field.functionals(field.Density.gaussian(1.0, 1.0))
@@ -304,6 +322,18 @@ def test_tile_table_is_one_read_only_cached_value(orders):
     assert np.array_equal(table.weights, nodes.weights[live]) and table.weights.flags.c_contiguous
     assert len(table.ul) == len(table.gl) == len(table.weights) < len(nodes.u)
     assert np.all(table.ul[table.edge] <= tiling._SUPPORT_EDGE_U)
+
+
+def test_tile_quadrature_blocks_keep_every_bit(monkeypatch):
+    """The table evaluates its nodes in blocks of _TABLE_BLOCK; u and
+    |grad u| equal those of one call over every node."""
+    nodes = tiling._tile_quadrature(tiling._TILE_ORDERS)
+    assert len(nodes.u) > tiling._TABLE_BLOCK  # two blocks or more
+    monkeypatch.setattr(tiling, "_TABLE_BLOCK", len(nodes.u))
+    whole = tiling._tile_quadrature.__wrapped__(tiling._TILE_ORDERS)
+    np.testing.assert_array_equal(nodes.u, whole.u)
+    np.testing.assert_array_equal(nodes.g, whole.g)
+    np.testing.assert_array_equal(nodes.weights, whole.weights)
 
 
 @pytest.mark.parametrize("ell,delta", TILE_PAIRS)

@@ -524,6 +524,23 @@ def test_direct_error_gates_and_zero():
         tiling.tiling_direct_error(zero, cfg, 2)
 
 
+def test_direct_error_detail():
+    """detail=True returns the total, its shell sums, a geometric tail
+    estimate from the last two shells and k_max."""
+    rho = field.Density.gaussian(1.0, 1.0)
+    cfg = tiling.TilingConfig(4.0, 0.4)
+    for k_max in (3, 4):
+        total, info = tiling.tiling_direct_error(rho, cfg, k_max, detail=True)
+        assert total == tiling.tiling_direct_error(rho, cfg, k_max)
+        shells = info["shell_sums"]
+        assert sorted(shells) == list(range(1, k_max + 1)) and info["k_max"] == k_max
+        assert math.fsum(shells.values()) == pytest.approx(total, rel=1e-13)
+        last, prev = shells[k_max], shells[k_max - 1]
+        r = last / prev
+        assert 0.0 < r < 1.0
+        assert info["tail_estimate"] == last * r / (1.0 - r)
+
+
 def test_direct_error_monotone_in_delta():
     rho = field.Density.gaussian(1.0, 1.0)
     e_coarse = tiling.tiling_direct_error(rho, tiling.TilingConfig(4.0, 0.4),
@@ -656,12 +673,54 @@ def test_convolved_indicator_lone_box_point_keeps_its_value():
         assert alone[0] == beside[0]
 
 
+def test_convolved_indicator_value_depends_on_its_point_alone():
+    """u and grad u at 2,400 points of T' (tile 1, ell 2, rs 0.05): random
+    points, points on the face planes (which take the nudge) and points
+    within rs/2 of the edge lines.  One call, one-point calls, random
+    chunkings and a permuted call give the same bits."""
+    cfg = tiling.TilingConfig(2.0, 0.5)
+    verts = tiling._tile_vertices(cfg, 1, False)
+    rs = cfg.smear_radius
+    lo, hi = tiling._reach_box(tiling._vertex_key(verts), rs)
+    rng = np.random.default_rng(37)
+    pts = [rng.uniform(lo, hi, size=(1200, 3))]
+    for face in itertools.combinations(range(4), 3):
+        pts.append(rng.dirichlet([1.0, 1.0, 1.0], size=150) @ verts[list(face)])
+    for a, b in itertools.combinations(range(4), 2):
+        d = verts[b] - verts[a]
+        off = rng.normal(size=(100, 3))
+        off -= np.outer(off @ d / (d @ d), d)
+        off *= rng.uniform(0.0, 0.5 * rs, size=(100, 1)) / np.linalg.norm(off, axis=1, keepdims=True)
+        pts.append(verts[a] + rng.uniform(0.0, 1.0, size=(100, 1)) * d + off)
+    pts = np.concatenate(pts)
+    u, g = tiling.convolved_indicator(verts, rs, pts, want_grad=True)
+    assert np.count_nonzero((u > 0.0) & (u < 1.0)) > 1000
+
+    def chunked(bounds):
+        parts = [tiling.convolved_indicator(verts, rs, pts[a:b], want_grad=True)
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    splits = [np.arange(len(pts) + 1)]
+    for _ in range(2):
+        cuts = np.cumsum(rng.integers(1, 65, size=len(pts)))
+        splits.append(np.concatenate([[0], cuts[cuts < len(pts)], [len(pts)]]))
+    for bounds in splits:
+        uc, gc = chunked(bounds)
+        np.testing.assert_array_equal(uc, u)
+        np.testing.assert_array_equal(gc, g)
+    perm = rng.permutation(len(pts))
+    up, gp = tiling.convolved_indicator(verts, rs, pts[perm], want_grad=True)
+    np.testing.assert_array_equal(up, u[perm])
+    np.testing.assert_array_equal(gp, g[perm])
+
+
 # sha256 of raw float64 bytes, as computed with every face term taken on
 # every active point: smeared_tetra(1.7, 4, 1.98) sampled on its 170^3
 # default grid, and xi_j with its gradient (tiles 1 and 7, ell 4, delta 1)
 # at the points below
-TETRA_SAMPLE_SHA256 = "aa841375324fdbe6af3bf787cc58bb41559b9f2cc5a6c787980a335047b913df"
-XI_GRAD_SHA256 = "4c81d771c60e78b12ef2906d9057057bd7733a008e9cb493498d64fd5ccb7458"
+TETRA_SAMPLE_SHA256 = "2364e0753a018fd181fa20810ae9595bbc274e04aed75c2b20de4a9d03206567"
+XI_GRAD_SHA256 = "b7ac65c2d266629e5b345060a774ef6123bb5eb50d505f75c4b255461d72ccef"
 
 
 def test_smeared_tetra_sample_digest():
