@@ -383,6 +383,9 @@ def flatness_error(rho, eps, params, ell, delta):
     gradient) is dist < delta/10, the fattened tile (theta) dist < delta.
     w and its gradient are evaluated only at the grid nodes inside T', the
     tile with its faces pushed out by delta/10, and are 0 at the others.
+    The distance is measured only at the nodes inside the tile with its
+    faces pushed out by delta, and reads inf at the others: a node within
+    delta of the tile has every h_f < delta.
     """
     _require_params(params)
     if not 0.0 < eps <= 0.5:
@@ -394,8 +397,6 @@ def flatness_error(rho, eps, params, ell, delta):
 
     spec = rho.own_grid or _flatness_grid(verts, delta)
     rho_f = field.density_to_field(rho, spec)
-    X, Y, Z = spec.meshgrid()
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
 
     box, idx, nodes = tiling._tile_nodes(verts, cfg.smear_radius, spec)
     w_t, gw_t = tiling.xi_grad_values(cfg, 1, nodes)
@@ -403,7 +404,9 @@ def flatness_error(rho, eps, params, ell, delta):
     w[box][idx] = w_t
     gw2 = np.zeros(spec.dims)
     gw2[box][idx] = np.einsum("ij,ij->i", gw_t, gw_t)
-    dist = tiling._tile_distance(verts, pts, delta).reshape(spec.dims)
+    box, idx, nodes = tiling._tile_nodes(verts, delta, spec)
+    dist = np.full(spec.dims, np.inf)
+    dist[box][idx] = tiling._tile_distance(verts, nodes)
     fat = dist < delta
 
     cell = spec.cell_volume

@@ -164,10 +164,15 @@ class FunctionalSet:
 
 
 def _gaussian_power_integral(sigma, mass, s):
-    # int rho^s for rho = mass * (2 pi sigma^2)^{-3/2} exp(-|x|^2/(2 sigma^2))
+    # int rho^s for rho = mass * (2 pi sigma^2)^{-3/2} exp(-|x|^2/(2 sigma^2));
+    # 2 pi sigma^2 is inf from sigma = 5.3e153 on (sigma**2 raises from
+    # 1.34e154 on), and there the powers of 2 pi and of sigma are taken apart
     if mass == 0.0:
         return 0.0
-    return mass**s * (2.0 * math.pi * sigma**2) ** (1.5 * (1.0 - s)) * s**-1.5
+    var = 2.0 * math.pi * sigma**2 if sigma < 1e154 else math.inf
+    if var < math.inf:
+        return mass**s * var ** (1.5 * (1.0 - s)) * s**-1.5
+    return mass**s * (2.0 * math.pi) ** (1.5 * (1.0 - s)) * sigma ** (3.0 * (1.0 - s)) * s**-1.5
 
 
 def _gaussian_thg(sigma, mass, theta, p):
@@ -456,12 +461,16 @@ class Gaussian(Density):
 
     def functionals(self, theta, p):
         sigma, mass = self.sigma, self.mass
+        try:
+            kin = 0.75 * mass / sigma**2
+        except OverflowError:  # sigma**2 leaves the double range from sigma = 1.34e154 on
+            kin = 0.75 * mass / sigma / sigma
         return FunctionalSet(
             mass=mass,
             l2=_gaussian_power_integral(sigma, mass, 2.0),
             l43=_gaussian_power_integral(sigma, mass, 4.0 / 3.0),
             l53=_gaussian_power_integral(sigma, mass, 5.0 / 3.0),
-            kin=0.75 * mass / sigma**2,
+            kin=kin,
             tv=2.0 * mass / sigma * math.sqrt(2.0 / math.pi),
             thg=_gaussian_thg(sigma, mass, theta, p),
             theta=theta,

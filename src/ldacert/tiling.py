@@ -901,32 +901,30 @@ def _tile_integrals(lam, theta, p, orders=_TILE_ORDERS):
     return integrals
 
 
-def _tile_distance(vertices, pts, cutoff):
+def _tile_distance(vertices, pts):
     """Euclidean distance from each point of an (n, 3) array to the tetrahedron:
     0 inside, |h_f| where the foot point lies in face f, else the nearest edge.
 
-    Only points with every h_f < cutoff get their distance; the others read
-    inf.  h_f <= dist, so each of them lies at cutoff or more.
+    Every product is elementwise or an einsum (no BLAS call), so a distance
+    depends on its point alone, not on the other points of the call.
     """
     normals, offsets, ea, eb, edge_u, edge_m = _face_frames(_vertex_key(vertices))
-    h = pts @ normals.T - offsets
+    h = np.einsum("ns,fs->nf", pts, normals) - offsets
     dist = np.where(np.all(h <= 0.0, axis=1), 0.0, np.inf)
-    near = np.flatnonzero(np.all(h < cutoff, axis=1))
-    q, hq, dq = pts[near], h[near], dist[near]
     measured = set()  # each edge bounds two faces; the first one measures it
     for f in range(4):
-        in_face = np.ones(len(q), dtype=bool)
+        in_face = np.ones(len(pts), dtype=bool)
         for k in range(3):
-            rel_a = ea[f, k] - q
-            e = rel_a @ edge_m[f, k]  # >= 0 on the face's side of the edge line
+            rel_a = ea[f, k] - pts
+            e = np.einsum("ns,s->n", rel_a, edge_m[f, k])  # >= 0 on the face's side
             in_face &= e >= 0.0
             edge = frozenset((tuple(ea[f, k]), tuple(eb[f, k])))
             if edge not in measured:
                 measured.add(edge)
-                t = np.maximum(np.maximum(rel_a @ edge_u[f, k], (q - eb[f, k]) @ edge_u[f, k]), 0.0)
-                dq = np.minimum(dq, np.sqrt(hq[:, f] ** 2 + e * e + t * t))
-        dq[in_face] = np.minimum(dq[in_face], np.abs(hq[in_face, f]))
-    dist[near] = dq
+                t = np.maximum(np.maximum(np.einsum("ns,s->n", rel_a, edge_u[f, k]),
+                                          np.einsum("ns,s->n", pts - eb[f, k], edge_u[f, k])), 0.0)
+                dist = np.minimum(dist, np.sqrt(h[:, f] ** 2 + e * e + t * t))
+        dist[in_face] = np.minimum(dist[in_face], np.abs(h[in_face, f]))
     return dist
 
 
@@ -1206,10 +1204,9 @@ def tiling_direct_error(rho, cfg, k_max, n_grid=32, detail=False):
 def _tile_nodes(verts, rs, spec):
     """The nodes of a grid inside T', the tile with each face pushed out by rs.
 
-    They are found column by column: over each (x, y) node of the box of
-    T' (widened by 2 cells and clipped to the grid) the four conditions
-    n_f.x < o_f + rs, each loosened by 1e-9 of the tile scale against
-    rounding, bound z to one interval.  The convolved indicator and its
+    Every node of the box of T' (widened by 2 cells and clipped to the grid)
+    is tested against the four conditions n_f.x < o_f + rs, each loosened by
+    1e-9 of the tile scale against rounding.  The convolved indicator and its
     gradient are 0 at every other node, as a pointwise evaluation gives.
 
     Returns the box slices, the indices (ix, iy, iz) of the nodes within
@@ -1225,21 +1222,10 @@ def _tile_nodes(verts, rs, spec):
 
     normals, offsets = _face_frames(key)[:2]
     reach = offsets + rs + 1e-9 * (float(np.max(np.abs(verts))) + rs)
-    z_lo = np.full((len(xs), len(ys)), -np.inf)
-    z_hi = np.full((len(xs), len(ys)), np.inf)
+    inside = np.ones((len(xs), len(ys), len(zs)), dtype=bool)
     for n, r in zip(normals, reach):
-        bound = r - n[0] * xs[:, None] - n[1] * ys[None, :]  # n_z z < bound
-        if n[2] > 0.0:
-            z_hi = np.minimum(z_hi, bound / n[2])
-        elif n[2] < 0.0:
-            z_lo = np.maximum(z_lo, bound / n[2])
-        else:
-            z_hi[bound <= 0.0] = -np.inf
-    start = np.searchsorted(zs, z_lo.ravel(), "left")
-    count = np.maximum(np.searchsorted(zs, z_hi.ravel(), "right") - start, 0)
-    col = np.repeat(np.arange(len(count)), count)
-    iz = np.arange(len(col)) - np.repeat(np.cumsum(count) - count - start, count)
-    ix, iy = np.divmod(col, len(ys))
+        inside &= (n[0] * xs[:, None, None] + n[1] * ys[None, :, None]) + n[2] * zs < r
+    ix, iy, iz = np.nonzero(inside)
     return box, (ix, iy, iz), np.stack([xs[ix], ys[iy], zs[iz]], axis=1)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,14 +114,27 @@ def test_certify_smeared_tetra_json(runner):
 
 
 def test_certify_exactly_flat_gaussian(runner):
-    """Every band functional of this gaussian underflows to 0 while its
-    mass does not, so the optimum is flat: eps* = 0 and a zero band."""
+    """Every functional of this gaussian's R* (l2, l53, kin, thg) underflows
+    to 0 while its mass does not, so the optimum is flat: eps* = 0 and a
+    band of width 0 about lda, which l43 = 5.6e-182 keeps below 0."""
     result = runner.invoke(cli.main, ["certify", "--density", "builtin:gaussian,sigma=1e154,mass=1e-20"])
     assert result.exit_code == 0
     doc = _json_payload(result)
     assert doc["flags"] == ["exactly_flat"]
     assert doc["functionals"]["thg"] == 0.0 and doc["functionals"]["mass"] == 1e-20
-    assert doc["epsilon_star"] == 0.0 and doc["band"] == [0.0, 0.0]
+    assert doc["epsilon_star"] == 0.0 and doc["rhs"]["total"] == 0.0
+    assert doc["lda"] < 0.0 and doc["band"] == [doc["lda"], doc["lda"]]
+
+
+@pytest.mark.parametrize("sigma", ["1.4e154", "1e155", "1e200", "1e300"])
+def test_certify_gaussian_past_sigma_squared(runner, sigma):
+    # sigma^2 overflows here, while every functional is finite
+    density = f"builtin:gaussian,sigma={sigma},mass=1"
+    result = runner.invoke(cli.main, ["certify", "--density", density])
+    assert result.exit_code == 0
+    doc = _json_payload(result)
+    assert all(math.isfinite(v) for v in doc["functionals"].values())
+    assert doc["functionals"]["l43"] > 0.0
 
 
 @pytest.mark.parametrize("extra", [["--theta", "0.05"],
@@ -183,6 +197,7 @@ def test_parameter_rejections_exit_2(runner, args, fragment):
     ["--density", GAUSS, "--p", "400", "--theta", "0.5"],
     ["--density", GAUSS, "--p", "1e300"],
     ["--density", "builtin:gaussian,sigma=1e-200,mass=1"],
+    ["--density", "builtin:gaussian,sigma=1e-163,mass=1"],
     ["--density", "builtin:gaussian,sigma=1,mass=1e300"],
     ["--density", "builtin:compact-bump,radius=1e-300,mass=1"],
 ])

@@ -52,6 +52,37 @@ def test_gaussian_thg_keeps_its_range(sigma, mass):
     assert (got == 0.0) == (sigma == 1e154)
 
 
+@pytest.mark.parametrize("sigma,mass", [(1e154, 1e-20), (1.4e154, 1.0), (1e155, 1.0),
+                                        (1e200, 1.0), (1e300, 1.0)])
+def test_gaussian_functionals_past_sigma_squared(sigma, mass):
+    """2 pi sigma^2 leaves the double range from sigma = 5.3e153 on and
+    sigma^2 from 1.34e154 on, while l2, l43, l53 and kin stay finite.
+    Against mpmath radial integrals: one subnormal step where the value is
+    subnormal, 0 where it underflows, and 1e-15 + 2^-51 ln(sigma) relative
+    where it is a normal double.  The log term is the float exponent
+    3 (1 - 4.0/3.0) = -1 + 2^-52 of l43, which the closed form has too
+    (5e-14 at sigma 1e100)."""
+    import mpmath as mp
+
+    F = field.functionals(field.Density.gaussian(sigma, mass))
+    with mp.workdps(40):
+        sg, m = mp.mpf(sigma), mp.mpf(mass)
+        amp = m * (2 * mp.pi * sg**2) ** -1.5
+
+        def radial(f):  # int f(|x|/sigma) dx / sigma^3, scale kept out of quad
+            return mp.quad(lambda t: 4 * mp.pi * t**2 * f(t), [0, mp.inf])
+
+        want = {name: float(amp**s * sg**3 * radial(lambda t, s=s: mp.exp(-s * t**2 / 2)))
+                for name, s in (("l2", mp.mpf(2)), ("l43", mp.mpf(4) / 3), ("l53", mp.mpf(5) / 3))}
+        # |grad sqrt(rho)|^2 = rho |x|^2/(4 sigma^4)
+        want["kin"] = float(amp * sg / 4 * radial(lambda t: t**2 * mp.exp(-t**2 / 2)))
+    rel = 1e-15 + 2.0**-51 * math.log(sigma)
+    for name, w in want.items():
+        got = getattr(F, name)
+        assert abs(got - w) <= max(rel * w, math.ulp(0.0)), name
+    assert F.l43 > 0.0
+
+
 @pytest.mark.parametrize("c", [0.3, 2.0, 17.5])
 def test_amplitude_power_scaling(c):
     base = field.functionals(field.Density.gaussian(1.0, 1.0))

@@ -469,16 +469,32 @@ def test_tile_distance_of_face_edge_and_vertex_points(j):
             pts.append(0.5 * (verts[a] + verts[b]) + t * d / np.linalg.norm(d))
             want.append(t)
     inner = verts.mean(axis=0) + 0.9 * (verts - verts.mean(axis=0))
-    got = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]), 2.5)
+    got = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]))
     np.testing.assert_allclose(got[:-4], want, rtol=1e-12)
     assert np.all(got[-4:] == 0.0)
-    # at cutoff 1 every point nearer than 1 keeps its bits; a point at t = 2
-    # keeps them too or reads inf, and those along a face normal read inf
-    cut = tiling._tile_distance(verts, np.concatenate([np.array(pts), inner]), 1.0)
-    near = got < 1.0
-    np.testing.assert_array_equal(cut[near], got[near])
-    assert np.all((cut[~near] == got[~near]) | (cut[~near] == np.inf))
-    assert np.all(cut[28 + 2 * np.arange(4)] == np.inf)  # t = 2 (14 points per t), faces
+
+
+@pytest.mark.parametrize("j", [1, 10, 24])
+@pytest.mark.parametrize("delta", [0.8, 0.5])
+def test_tile_distance_on_the_nodes_of_the_pushed_tile(j, delta):
+    """flatness_error measures distances only on the nodes _tile_nodes finds
+    in the tile pushed out by delta: every other node lies at delta or
+    more, and each found node's distance has the bits of an all-node call,
+    also when it is the only point of its call.  The grid puts nodes on
+    face planes and edge lines (multiples of 1/8)."""
+    verts = 4.0 * tiling.unit_cube_tetrahedra()[j - 1].vertices
+    spec = field.GridSpec((49, 49, 49), (0.125,) * 3, (-1.0,) * 3)
+    box, idx, nodes = tiling._tile_nodes(verts, delta, spec)
+    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
+    every = tiling._tile_distance(verts, pts).reshape(spec.dims)
+    found = np.zeros(spec.dims, dtype=bool)
+    found[box][idx] = True
+    assert np.all(every[~found] >= delta)
+    assert np.any(every[found] < delta) and np.any(every[found] == 0.0)
+    np.testing.assert_array_equal(tiling._tile_distance(verts, nodes), every[found])
+    pick = np.random.default_rng(j).choice(len(nodes), size=400, replace=False)
+    one = np.concatenate([tiling._tile_distance(verts, nodes[i:i + 1]) for i in pick])
+    np.testing.assert_array_equal(one, every[found][pick])
 
 
 def _chi_sum_27_cells(cfg, pts):
@@ -582,8 +598,9 @@ SAMPLE_NONZERO = {("coarse_a", 1, "xi"): 1, ("coarse_a", 7, "chi"): 1,
 @pytest.mark.parametrize("kind", ["chi", "xi"])
 @pytest.mark.parametrize("j", [1, 7, 24])
 def test_sample_field_equals_every_node_evaluation(j, kind, grid):
-    """sample_field evaluates only the column nodes of T', and a lone one
-    among the box nodes; every value equals the all-node evaluation."""
+    """sample_field evaluates only the nodes _tile_nodes finds in T' (on
+    the coarse grids one or two of them); every value equals the all-node
+    evaluation."""
     cfg = tiling.TilingConfig(2.0, 0.5)
     spec = SAMPLE_GRIDS[grid]
     pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
@@ -597,6 +614,31 @@ def test_sample_field_equals_every_node_evaluation(j, kind, grid):
         assert not got.any()
     elif (grid, j, kind) in SAMPLE_NONZERO:
         assert np.count_nonzero(got) == SAMPLE_NONZERO[grid, j, kind]
+
+
+@pytest.mark.parametrize("grid", SAMPLE_GRIDS)
+def test_tile_nodes_are_the_nodes_of_the_pushed_tile(grid):
+    """Over every tile and both kinds, _tile_nodes returns, in C order, the
+    grid nodes that an all-node face test finds in T' (with the same 1e-9
+    slack), and every node where the all-node evaluation is nonzero."""
+    cfg = tiling.TilingConfig(2.0, 0.5)
+    rs = cfg.smear_radius
+    spec = SAMPLE_GRIDS[grid]
+    pts = np.stack([a.ravel() for a in spec.meshgrid()], axis=1)
+    for j, chi in itertools.product(range(1, 25), (True, False)):
+        verts = tiling._tile_vertices(cfg, j, chi)
+        normals, offsets = tiling._face_frames(tiling._vertex_key(verts))[:2]
+        slack = 1e-9 * (float(np.max(np.abs(verts))) + rs)
+        inside = np.all(np.einsum("ns,fs->nf", pts, normals) - offsets < rs + slack, axis=1)
+        box, idx, nodes = tiling._tile_nodes(verts, rs, spec)
+        found = np.zeros(spec.dims, dtype=bool)
+        found[box][idx] = True
+        np.testing.assert_array_equal(found.ravel(), inside)
+        flat = np.ravel_multi_index(tuple(i + s.start for i, s in zip(idx, box)), spec.dims)
+        assert np.all(np.diff(flat) > 0)
+        np.testing.assert_array_equal(nodes, pts[flat])
+        u = tiling.convolved_indicator(verts, rs, pts)
+        assert np.all(found.ravel()[u != 0.0])
 
 
 def _reach_box_case():
