@@ -425,15 +425,14 @@ def flatness_error(rho, eps, params, ell, delta):
     wg[mask] = rv[mask] * gw2[mask] / (4.0 * w[mask])
     weight_gradient = C * cell * float(wg.sum())
 
-    gx, gy, gz = field.gradient(rho_f)
-    grad2 = gx.values**2 + gy.values**2 + gz.values**2
     sk = np.zeros_like(rv)
     mask = rv > 1e-150
-    sk[mask] = grad2[mask] / (4.0 * rv[mask])
+    sk[mask] = field._gradient_norm2(rv, spec.spacing)[mask] / (4.0 * rv[mask])
     kin = C / eps * cell * float((sk * w).sum())
+    if not math.isfinite(kin):
+        raise ValueError("kinetic term is not finite")
 
-    tx, ty, tz = field.gradient(field.ScalarField(spec, rv**params.theta))
-    th_integrand = (tx.values**2 + ty.values**2 + tz.values**2) ** (p / 2.0)
+    th_integrand = field._gradient_norm2(rv**params.theta, spec.spacing) ** (p / 2.0)
     if not np.isfinite(th_integrand[fat]).all():
         raise ValueError("theta-gradient integrand is not finite on the fattened tile")
     coeff = C * (ell ** (2.0 * p) / eps ** (p - 1.0)

@@ -6,7 +6,7 @@ Conventions used throughout the package:
   x = origin + (ix*hx, iy*hy, iz*hz) and integrals are plain cell sums
   (cell volume times a compensated total over node values);
 * gradients are second-order central differences in the interior and
-  one-sided at the boundary (what ``np.gradient`` does);
+  one-sided at the boundary (``np.gradient``, taken in _gradient_norm2 alone);
 * the square-root and power gradients are set to zero at nodes where the
   density vanishes, so vacuum regions contribute nothing to kin / thg;
 * ``theta`` and ``p`` are the exponents of the theta-gradient seminorm
@@ -129,10 +129,10 @@ def integrate(field):
     return field.spec.cell_volume * _compensated_total(field.values)
 
 
-def gradient(field):
-    """Tuple of three ScalarFields, central differences / one-sided edges."""
-    gx, gy, gz = np.gradient(field.values, *field.spec.spacing)
-    return tuple(ScalarField(field.spec, g) for g in (gx, gy, gz))
+def _gradient_norm2(values, spacing):
+    """|grad f|^2 of grid samples, the one stencil of every grid route."""
+    gx, gy, gz = np.gradient(values, *spacing)
+    return gx**2 + gy**2 + gz**2
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +372,17 @@ def _grid_functionals(field, theta, p):
 
     def power_grad_integral(expo, q):
         # int |grad rho^expo|^q with the vacuum-node override
-        g = np.gradient(sub**expo, *field.spec.spacing)
-        mag2 = g[0] ** 2 + g[1] ** 2 + g[2] ** 2
+        mag2 = _gradient_norm2(sub**expo, field.spec.spacing)
         mag2[~positive] = 0.0
         return integral(mag2 ** (q / 2.0))
 
-    gx, gy, gz = np.gradient(sub, *field.spec.spacing)
     return FunctionalSet(
         mass=vol * _compensated_total(rho),
         l2=integral(sub**2),
         l43=integral(sub ** (4.0 / 3.0)),
         l53=integral(sub ** (5.0 / 3.0)),
         kin=power_grad_integral(0.5, 2.0),
-        tv=integral(np.sqrt(gx**2 + gy**2 + gz**2)),
+        tv=integral(np.sqrt(_gradient_norm2(sub, field.spec.spacing))),
         thg=power_grad_integral(theta, p),
         theta=theta,
         p=p,
@@ -454,6 +452,8 @@ class Gaussian(Density):
         return _cube_grid(8.0 * self.sigma, n or 96)
 
     def sample(self, spec):
+        if self.sigma >= 1e154:  # sigma**2 raises from 1.34e154 on; amp is 0.0 here
+            return ScalarField(spec, np.zeros(spec.dims))
         X, Y, Z = spec.meshgrid()
         amp = self.mass * (2.0 * math.pi * self.sigma**2) ** -1.5
         return ScalarField(
@@ -738,8 +738,7 @@ def sobolev_ratio(u, p, ell):
             "u must vanish somewhere on the tile (min |u| is "
             f"{vals.min():.3e} vs max {umax:.3e})"
         )
-    gx, gy, gz = np.gradient(u.values, *spec.spacing)
-    mag = (gx**2 + gy**2 + gz**2) ** (p / 2.0)
+    mag = _gradient_norm2(u.values, spec.spacing) ** (p / 2.0)
     mag[~mask] = 0.0
     denom = ell ** (p - 3.0) * spec.cell_volume * _compensated_total(mag)
     if denom == 0.0:

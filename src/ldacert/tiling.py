@@ -221,7 +221,8 @@ def mollifier_hat(s):
     x, f, mass = _mollifier_rule()
     out = np.full(s.shape, _UNITARY)
     nz = s != 0.0
-    out[nz] = _UNITARY * (np.sin(np.multiply.outer(s[nz], x)) @ f) / (s[nz] * mass)
+    sums = np.einsum("nk,k->n", np.sin(np.multiply.outer(s[nz], x)), f)  # no BLAS call
+    out[nz] = _UNITARY * sums / (s[nz] * mass)
     return float(out) if out.ndim == 0 else out
 
 

@@ -308,6 +308,17 @@ def test_flatness_error_sums_theta_on_the_delta_neighbourhood():
     assert upper["theta"] == 0.0 and lower["theta"] == 0.0
 
 
+def test_flatness_error_refuses_a_non_finite_kin():
+    """A density at 1.7e308 on two far x-planes and 0.5 elsewhere: its grid
+    gradient overflows there, so kin is not finite and no term is returned."""
+    spec = field.GridSpec((59, 59, 59), (0.1, 0.1, 0.1), (-2.9, -2.9, -2.9))
+    values = np.full(spec.dims, 0.5)
+    values[:2] = 1.7e308
+    rho = field.Density.grid(field.ScalarField(spec, values))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        certificate.flatness_error(rho, 0.25, certificate.CertParams(7.0, 0.3), 4.0, 0.8)
+
+
 def test_flatness_error_gaussian_values():
     """A gaussian on the default (ell 4, delta 0.8) flatness grid: every
     term, bit for bit, as computed with distances taken on every node."""

@@ -83,6 +83,20 @@ def test_gaussian_functionals_past_sigma_squared(sigma, mass):
     assert F.l43 > 0.0
 
 
+@pytest.mark.parametrize("sigma", [1.4e154, 1e155, 1e300])
+def test_gaussian_sample_past_sigma_squared(sigma):
+    """The amplitude underflows to 0.0 from sigma = 5.3e153 on, so the
+    samples are exact zeros, and no grid route raises where sigma^2 does."""
+    from ldacert import coulomb
+
+    rho = field.Density.gaussian(sigma, 1.0)
+    spec = field.GridSpec((4, 4, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    got = rho.sample(spec).values
+    assert got.shape == spec.dims and np.all(got == 0.0)
+    assert np.array_equal(field.density_to_field(rho, spec).values, got)
+    assert coulomb.hartree(rho, spec) == 0.0
+
+
 @pytest.mark.parametrize("c", [0.3, 2.0, 17.5])
 def test_amplitude_power_scaling(c):
     base = field.functionals(field.Density.gaussian(1.0, 1.0))
@@ -737,6 +751,19 @@ def test_sobolev_ratio_preconditions():
     ones = field.ScalarField(spec=spec, values=np.ones(spec.dims))
     with pytest.raises(field.PreconditionError):
         field.sobolev_ratio(ones, 4.0, 1.0)
+
+
+def test_sobolev_ratio_of_a_linear_field():
+    """u = x has the grid gradient (1, 0, 0) to roundoff, so at ell 1 the
+    quotient is max|u|^p / (h^3 N), N the grid nodes in the tile."""
+    spec = field.GridSpec((25, 25, 25), (0.05, 0.05, 0.05), (-0.6, -0.6, -0.6))
+    X, Y, Z = spec.meshgrid()
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    mask = tiling.Tetra(tiling.reference_tetra()).contains(pts)
+    want = np.abs(X.ravel()[mask]).max() ** 4 / (spec.cell_volume * mask.sum())
+    r = field.sobolev_ratio(field.ScalarField(spec=spec, values=X), 4.0, 1.0)
+    assert r == pytest.approx(want, rel=1e-12)
+    assert r == 0.988142292490118
 
 
 def test_sobolev_ratio_zero_field():

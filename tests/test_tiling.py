@@ -117,13 +117,24 @@ def test_mollifier_hat_contract():
     assert abs(tiling.mollifier_hat(1e-8) / tiling.mollifier_hat(0.0) - 1.0) <= 1e-15
 
 
+def test_mollifier_hat_value_depends_on_its_s_alone():
+    """A batch gives each s the bits of a call at that s alone, in any order."""
+    rng = np.random.default_rng(11)
+    s = rng.uniform(0.0, 20.0, 600)
+    got = tiling.mollifier_hat(s)
+    assert np.array_equal(got, [tiling.mollifier_hat(v) for v in s])
+    perm = rng.permutation(s.size)
+    assert np.array_equal(tiling.mollifier_hat(s[perm]), got[perm])
+
+
 def test_mollifier_hat_keeps_its_rule():
     """The cached rule gives the bits of a rule built at the call."""
     x, w = np.polynomial.legendre.leggauss(200)
     x = 0.5 * (x + 1.0)
     f = tiling.mollifier_value(x) * x * (0.5 * w)
     s = np.concatenate([[1e-8, 1e-3], np.linspace(0.1, 500.0, 301)])
-    want = tiling._UNITARY * (np.sin(np.multiply.outer(s, x)) @ f) / (s * (f @ x))
+    sums = np.einsum("nk,k->n", np.sin(np.multiply.outer(s, x)), f)
+    want = tiling._UNITARY * sums / (s * (f @ x))
     assert np.array_equal(tiling.mollifier_hat(s), want)
     rule = tiling._mollifier_rule()
     assert rule[2] == f @ x
