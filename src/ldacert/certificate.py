@@ -419,6 +419,12 @@ def flatness_error(rho, eps, params, ell, delta):
 
     C, p = params.C, params.p
     bulk_up = C * eps * cell * float(((rv + rv**2) * w).sum())
+    try:
+        bulk_low = C * eps * ell**3 * (rho_max + rho_max**2)
+    except OverflowError:  # rho_max**2 is past the largest double
+        bulk_low = math.inf
+    if not (math.isfinite(bulk_up) and math.isfinite(bulk_low)):
+        raise ValueError("bulk term is not finite")
 
     wg = np.zeros_like(rv)
     mask = support & (w > 1e-150)
@@ -441,7 +447,7 @@ def flatness_error(rho, eps, params, ell, delta):
 
     upper = {"bulk": bulk_up, "weight_gradient": weight_gradient,
              "kin": kin, "theta": theta, "rho_ref": rho_min}
-    lower = {"bulk": C * eps * ell**3 * (rho_max + rho_max**2),
+    lower = {"bulk": bulk_low,
              "transition_layer": C * ell**2 * rho_max / delta,
              "kin": kin, "theta": theta, "rho_ref": rho_max}
     return upper, lower

@@ -27,7 +27,11 @@ any grouping of the points gives the same bits.
 The integrals of a smeared tile over space, chi_mass among them, are
 sums over one cached quadrature of the scale-free tile (_tile_quadrature),
 so they sample no grid.  Its weights are cubics in the tile's size, so all
-but thg are read from four lam moments per integrand (_tile_table).
+but thg are read from four lam moments per integrand (_tile_table).  The
+default quadrature's node values, u and |grad u| at 28,531 nodes, ship
+with the package (tile_nodes.npy, written by tools/make_tile_nodes.py)
+and are read on the first tile call; its nodes, weights and moments are
+derived here, as is every value of other orders.
 
 Reciprocal-space helpers (tetra_fourier, reduced_sum, moment_M,
 tiling_direct_error) quantify how fast the averaged tiling approximation
@@ -42,6 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -611,9 +616,10 @@ _LIVE_U = 1e-12
 _SUPPORT_EDGE_U = 1e-10
 #: nodes per block of the tile table's moment sums
 _MOMENT_BLOCK = 4096
-#: nodes per convolved_indicator call of the table build, which caps its
+#: nodes per convolved_indicator call of _tile_node_values, which caps its
 #: (n, 32) edge-rule arrays; a value depends on its node alone, so the
-#: blocks change no bit
+#: blocks change no bit.  Only a build takes them: the default orders read
+#: their node values from the package
 _TABLE_BLOCK = 16384
 
 
@@ -634,10 +640,28 @@ def _incenter():
 
 @lru_cache(maxsize=2)
 def _tile_quadrature(orders):
-    """u = 1_T * eta_1 at its quadrature nodes, T tile 1 scaled to lam
-    smearing radii, in units of the smearing radius: read-only arrays
+    """u = 1_T * eta_1 at the nodes of _tile_rule(orders), T tile 1 scaled
+    to lam smearing radii, in units of the smearing radius: read-only arrays
 
         u, g, weights   u, |grad u| and the (n, 4) lam-polynomial weights
+
+    For the default orders u and g are read from the package's
+    tile_nodes.npy (_shipped_node_values), written by
+    tools/make_tile_nodes.py through _tile_node_values; other orders are
+    built by _tile_node_values.  _tile_table derives from it, once per
+    orders, everything a call of _tile_integrals reads.
+    """
+    pts, weights = _tile_rule(orders)
+    u, g = _shipped_node_values(len(pts)) if orders == _TILE_ORDERS else _tile_node_values(pts)
+    nodes = SimpleNamespace(u=u, g=g, weights=weights)
+    for a in vars(nodes).values():
+        a.flags.writeable = False  # cached: every caller shares it
+    return nodes
+
+
+def _tile_rule(orders):
+    """The nodes (n, 3) and lam-polynomial weights (n, 4) of the tile
+    quadrature at the given orders.
 
     int G(u, |grad u|) = sum_i G(u_i, g_i) (weights_i . (1, lam, lam^2,
     lam^3)) for every lam > 1/r_in (r_in the inradius of tile 1 at ell = 1,
@@ -660,7 +684,7 @@ def _tile_quadrature(orders):
     The core's area is A_f (lam + h/r_in - c_f(h))^2 and a strip body's
     length at d is linear in lam, so the weights are polynomials in lam
     and the nodes are scale-free: u and its gradient are evaluated once,
-    by convolved_indicator, at _TABLE_LAMBDA.  The h rule is the orders'
+    at _TABLE_LAMBDA (_tile_node_values).  The h rule is the orders'
     Gauss rule on each of _TILE_PANELS, split at 0 where 1_T jumps; a
     strip's d rule starts where u does (distance 1 from the edge, for
     h > 0); a corner takes a tensor rule in the parallelogram.
@@ -672,9 +696,6 @@ def _tile_quadrature(orders):
     convolved_indicator's 32-node edge rule stays within 2e-7 of a
     200-node rule in every integral (a 24-node rule, which errs by up to
     1e-4 in u near edge lines, moved int u by 3e-8 relative at lam = 20).
-
-    _tile_table derives from it, once per orders, everything a call of
-    _tile_integrals reads.
     """
     n_h, n_d, n_hc, n_c = orders
     tile = unit_cube_tetrahedra()[0]
@@ -743,16 +764,34 @@ def _tile_quadrature(orders):
                         + (along[:, None] * s)[..., None] * edge_u[f, k]
                         - (back[:, None] * t)[..., None] * edge_u[f, prev]).reshape(-1, 3))
             weights.append(poly((copies * hcw * along * back * sin_b[k])[:, None] * st_w))
-    pts = np.concatenate(pts)
+    return np.concatenate(pts), np.concatenate(weights)
+
+
+def _tile_node_values(pts):
+    """u and |grad u| at the nodes pts of _tile_rule, by convolved_indicator
+    on tile 1 at _TABLE_LAMBDA smearing radii, in blocks of _TABLE_BLOCK
+    nodes; two (n,) arrays."""
+    verts = _TABLE_LAMBDA * unit_cube_tetrahedra()[0].vertices
     u, g = np.empty(len(pts)), np.empty(len(pts))
     for start in range(0, len(pts), _TABLE_BLOCK):
         block = slice(start, start + _TABLE_BLOCK)
-        u[block], grad = convolved_indicator(lam * tile.vertices, 1.0, pts[block], want_grad=True)
+        u[block], grad = convolved_indicator(verts, 1.0, pts[block], want_grad=True)
         g[block] = np.sqrt(np.einsum("ij,ij->i", grad, grad))
-    nodes = SimpleNamespace(u=u, g=g, weights=np.concatenate(weights))
-    for a in vars(nodes).values():
-        a.flags.writeable = False  # cached: every caller shares it
-    return nodes
+    return u, g
+
+
+def _shipped_node_values(n):
+    """u and |grad u| at the n nodes of _tile_rule(_TILE_ORDERS), read from
+    the package's tile_nodes.npy, a (2, n) little-endian float64 array."""
+    path = Path(__file__).with_name("tile_nodes.npy")
+    try:
+        values = np.load(path, allow_pickle=False)
+    except FileNotFoundError:  # an install fault, not a parameter the CLI should reject
+        raise RuntimeError(f"{path} is missing: write it with tools/make_tile_nodes.py") from None
+    if values.dtype != np.dtype("<f8") or values.shape != (2, n):
+        raise RuntimeError(f"{path} holds {values.dtype.str} {values.shape}, not <f8 (2, {n}): "
+                           "rewrite it with tools/make_tile_nodes.py")
+    return values
 
 
 def _moment_sums(f, weights):

@@ -319,6 +319,16 @@ def test_flatness_error_refuses_a_non_finite_kin():
         certificate.flatness_error(rho, 0.25, certificate.CertParams(7.0, 0.3), 4.0, 0.8)
 
 
+@pytest.mark.parametrize("value", [1e153, 1e160])
+def test_flatness_error_refuses_a_non_finite_bulk(value):
+    """A constant density of 1e153 or 1e160: the upper bulk sum overflows,
+    and from 1.34e154 on rho^2 does too, in both displays."""
+    spec = field.GridSpec((59, 59, 59), (0.1, 0.1, 0.1), (-2.9, -2.9, -2.9))
+    rho = field.Density.grid(field.ScalarField(spec, np.full(spec.dims, value)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="bulk"):
+        certificate.flatness_error(rho, 0.25, QUANTUM, 4.0, 0.8)
+
+
 def test_flatness_error_gaussian_values():
     """A gaussian on the default (ell 4, delta 0.8) flatness grid: every
     term, bit for bit, as computed with distances taken on every node."""

@@ -339,6 +339,18 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout == "ok\n"
 
 
+def test_gaussian_certify_reads_no_tile_data():
+    # the tile node values are read on the first tile call, not at import
+    probe = ("from ldacert import cli, tiling; "
+             f"cli.main.main(['certify', '--density', {GAUSS!r}], standalone_mode=False); "
+             "print(tiling._tile_quadrature.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ldacert.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"
+
+
 _IMPORT_PROBE = """
 import sys
 from ldacert import cli

@@ -369,16 +369,44 @@ def test_tile_table_is_one_read_only_cached_value(orders):
     assert np.all(table.ul[table.edge] <= tiling._SUPPORT_EDGE_U)
 
 
+@functools.lru_cache(maxsize=1)
+def _built_default_nodes():
+    """u and |grad u| at the default tile rule's nodes, by the build path."""
+    return tiling._tile_node_values(tiling._tile_rule(tiling._TILE_ORDERS)[0])
+
+
 def test_tile_quadrature_blocks_keep_every_bit(monkeypatch):
-    """The table evaluates its nodes in blocks of _TABLE_BLOCK; u and
+    """The build evaluates its nodes in blocks of _TABLE_BLOCK; u and
     |grad u| equal those of one call over every node."""
+    pts = tiling._tile_rule(tiling._TILE_ORDERS)[0]
+    assert len(pts) > tiling._TABLE_BLOCK  # two blocks or more
+    blocked = _built_default_nodes()
+    monkeypatch.setattr(tiling, "_TABLE_BLOCK", len(pts))
+    for a, b in zip(blocked, tiling._tile_node_values(pts)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_tile_node_data_is_the_build():
+    """The shipped node values (tile_nodes.npy) equal a fresh build bit for
+    bit.  Like every byte pin, this holds per host and numpy dispatch
+    level (README, "Byte identity"; ROADMAP item 26): the build's exp,
+    arctan2 and powers round differently on another level, and there the
+    rebuilt values differ from the file by up to 4.4e-16."""
     nodes = tiling._tile_quadrature(tiling._TILE_ORDERS)
-    assert len(nodes.u) > tiling._TABLE_BLOCK  # two blocks or more
-    monkeypatch.setattr(tiling, "_TABLE_BLOCK", len(nodes.u))
-    whole = tiling._tile_quadrature.__wrapped__(tiling._TILE_ORDERS)
-    np.testing.assert_array_equal(nodes.u, whole.u)
-    np.testing.assert_array_equal(nodes.g, whole.g)
-    np.testing.assert_array_equal(nodes.weights, whole.weights)
+    u, g = _built_default_nodes()
+    np.testing.assert_array_equal(nodes.u, u)
+    np.testing.assert_array_equal(nodes.g, g)
+
+
+@pytest.mark.parametrize("values", [None, np.zeros((2, 28530)), np.zeros((2, 28531), dtype=">f8"),
+                                    np.zeros((2, 28531), dtype=np.float32)],
+                         ids=["missing", "short", "big_endian", "float32"])
+def test_a_missing_or_malformed_tile_node_file_is_refused(values, tmp_path, monkeypatch):
+    if values is not None:
+        np.save(tmp_path / "tile_nodes.npy", values)
+    monkeypatch.setattr(tiling, "__file__", str(tmp_path / "tiling.py"))
+    with pytest.raises(RuntimeError, match="tools/make_tile_nodes.py"):
+        tiling._tile_quadrature.__wrapped__(tiling._TILE_ORDERS)
 
 
 @pytest.mark.parametrize("ell,delta", TILE_PAIRS)
