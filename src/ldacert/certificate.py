@@ -418,7 +418,10 @@ def flatness_error(rho, eps, params, ell, delta):
     rho_max = float(rv[support].max())
 
     C, p = params.C, params.p
-    bulk_up = C * eps * cell * float(((rv + rv**2) * w).sum())
+    # a density near the float64 range overflows here; the check below
+    # refuses the non-finite sum, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        bulk_up = C * eps * cell * float(((rv + rv**2) * w).sum())
     try:
         bulk_low = C * eps * ell**3 * (rho_max + rho_max**2)
     except OverflowError:  # rho_max**2 is past the largest double

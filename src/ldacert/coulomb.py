@@ -8,11 +8,16 @@ Below its cap of twice the grid dims the scheme is alias-free (a smeared
 tile on its default grid); a box that fills most or all of the grid (a
 compact bump, a gaussian sample, a dense grid file) takes the cap, and
 periodic images still enter at a small relative level (ROADMAP.md, item
-4).  One forward transform of the box, _spectrum, feeds the convolution
-and the reciprocal-space moment integrals; the kernel, built once per
-(box, grid) geometry and cached, also backs the translation-averaged
-localization identity.  The annulus convolution is the closed form of a
-1D radial reduction used by the tiling error analysis.
+4).  The forward transform of the box is one real pass and two complex
+passes, shared by the convolution and the reciprocal-space moment
+integrals: _spectrum runs the complex passes on the whole half-grid for the
+moments, and _potential runs them, the kernel product and the inverse
+complex passes one block of last-axis planes at a time, so the convolution
+never holds the padded spectrum whole.  The kernel is kept on its
+non-negative-frequency octant, built once per (box, grid) geometry and
+cached; it also backs the translation-averaged localization identity.  The
+annulus convolution is the closed form of a 1D radial reduction used by
+the tiling error analysis.
 
 Every transform is a numpy.fft pass; the package imports no scipy module.
 """
@@ -31,6 +36,10 @@ _TWO_PI = 2.0 * math.pi
 # most this many grid values (512 KB of float64, which stays in L2), each
 # written into one buffer that the call reuses
 _CHECK_BLOCK = 1 << 16
+# _potential runs its complex passes on blocks of last-axis planes holding
+# at most this many bytes of padded spectrum (4 MB), so the whole padded
+# spectrum is never held at once
+_PLANE_BYTES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +79,21 @@ def _kernel_values(psq, radius):
     return out
 
 
-def _half_grid_kernel(freqs, radius):
-    """4 pi (1 - cos R|p|)/|p|^2 on the rfftn half-grid of the angular
-    frequency axes freqs (full fftfreq axes, any lengths).
+def _octant_kernel(freqs, radius):
+    """4 pi (1 - cos R|p|)/|p|^2 on the non-negative-frequency octant of
+    the angular frequency axes freqs (full fftfreq axes, any lengths):
+    shape (P1//2 + 1, P2//2 + 1, P3//2 + 1).
 
-    Only the non-negative-frequency rows and columns of the first two axes
-    are evaluated.  fftfreq gives f[P - i] == -f[i] exactly, so |p|^2, and
-    with it the kernel, of every other row and column is a bitwise copy.
+    fftfreq gives f[P - i] == -f[i] exactly, so |p|^2, and with it the
+    kernel, of every other row and column of the rfftn half-grid is a
+    bitwise copy of an octant row or column; _kernel_planes reads them
+    through reversed views.
     """
     fx, fy, fz = freqs
-    p1, p2, p3 = len(fx), len(fy), len(fz)
-    h1, h2 = p1 // 2 + 1, p2 // 2 + 1
-    # the sign of the last-axis Nyquist entry drops out of |p|^2
-    psq = (fx[:h1, None, None] ** 2 + fy[None, :h2, None] ** 2
-           + fz[None, None, : p3 // 2 + 1] ** 2)
-    kernel = np.empty((p1, p2, p3 // 2 + 1))
-    kernel[:h1, :h2] = 4.0 * math.pi * _kernel_values(psq, radius)
-    kernel[:h1, h2:] = kernel[:h1, p2 - h2:0:-1]
-    kernel[h1:] = kernel[p1 - h1:0:-1]
-    return kernel
+    h1, h2, h3 = (len(f) // 2 + 1 for f in freqs)
+    # the sign of a Nyquist entry drops out of |p|^2
+    psq = fx[:h1, None, None] ** 2 + fy[None, :h2, None] ** 2 + fz[None, None, :h3] ** 2
+    return 4.0 * math.pi * _kernel_values(psq, radius)
 
 
 class _Engine:
@@ -110,13 +115,13 @@ class _Engine:
         #: angular frequency axes of the full padded reciprocal grid
         self.freqs = tuple(
             _TWO_PI * np.fft.fftfreq(n, d=h) for n, h in zip(self.shape, spacing))
-        #: the kernel on the rfftn half-grid, shared by every caller
-        self.kernel = _half_grid_kernel(self.freqs, self.radius)
+        #: the kernel on the non-negative-frequency octant, shared by every caller
+        self.kernel = _octant_kernel(self.freqs, self.radius)
         self.kernel.flags.writeable = False
 
 
-# bounded: the kernel of a whole 192^3 grid takes 227 MB; a smeared tile's
-# box on a 170^3 grid takes 36 MB
+# bounded: the kernel octant of a whole 192^3 grid takes about 57 MB; a
+# smeared tile's box on a 170^3 grid takes about 9 MB
 _engine = functools.lru_cache(maxsize=8)(_Engine)
 
 
@@ -160,49 +165,91 @@ def _as_field(rho, spec=None):
     raise TypeError(f"expected Density or ScalarField, got {type(rho).__name__}")
 
 
-def _spectrum(values, spec):
-    """Forward transform of real fields on their support box.
+def _real_pass(values, spec):
+    """The first rfftn pass of real fields on their support box.
 
     values holds one field, or a stack of fields along leading axes.
-    Returns (coeffs, box, engine): box, three slices, is the support box of
+    Returns (half, box, engine): box, three slices, is the support box of
     values (the union over a stack) widened by one node, engine its cached
-    _Engine, and coeffs equals rfftn(values[..., *box], s=engine.shape).
-    The numpy.fft passes run axis by axis in pocketfft's own rfftn order,
-    each padding only the axis it transforms, so the all-zero padding lines
-    of the other axes are never transformed.
+    _Engine, and half equals rfft(values[..., *box], n=P3, axis=-1).
     """
     box = _support_box(values, pad=1)
     engine = _engine(tuple(s.stop - s.start for s in box), spec.spacing, spec.dims)
-    p1, p2, p3 = engine.shape
     sub = values[(...,) + box]
     # a C-ordered first pass keeps every later array C-ordered, whatever the
     # layout of values (a grid file's is Fortran order): the kernel product
     # runs on matching layouts, and hartree sums the potential in C order
-    coeffs = np.empty(sub.shape[:-1] + (p3 // 2 + 1,), dtype=complex)
-    coeffs = np.fft.rfft(sub, n=p3, axis=-1, out=coeffs)
-    coeffs = np.fft.fft(coeffs, n=p1, axis=-3)
-    coeffs = np.fft.fft(coeffs, n=p2, axis=-2)
-    return coeffs, box, engine
+    half = np.empty(sub.shape[:-1] + (engine.shape[2] // 2 + 1,), dtype=complex)
+    half = np.fft.rfft(sub, n=engine.shape[2], axis=-1, out=half)
+    return half, box, engine
+
+
+def _complex_passes(half, shape):
+    """The two forward complex passes of rfftn, in pocketfft's order: axis
+    -3 padded to P1, then axis -2 padded to P2.  Each pads only the axis it
+    transforms, so the all-zero padding lines of the other axes are never
+    transformed."""
+    p1, p2, _ = shape
+    return np.fft.fft(np.fft.fft(half, n=p1, axis=-3), n=p2, axis=-2)
+
+
+def _spectrum(values, spec):
+    """Forward transform of real fields on their support box.
+
+    Returns (coeffs, box, engine), box and engine as _real_pass gives them
+    and coeffs equal to rfftn(values[..., *box], s=engine.shape): the real
+    pass, then the complex passes on all last-axis planes at once.
+    """
+    half, box, engine = _real_pass(values, spec)
+    return _complex_passes(half, engine.shape), box, engine
+
+
+def _kernel_planes(kernel, shape):
+    """The rfftn half-grid kernel, (P1, P2, n), on the n last-axis planes
+    whose octant slice is kernel.
+
+    A row or column past the octant, at index P - i, is read from octant
+    row or column i through a reversed view: the bits that the half-grid
+    kernel holds there.
+    """
+    p1, p2, _ = shape
+    h1, h2 = kernel.shape[:2]
+    out = np.empty((p1, p2, kernel.shape[2]))
+    out[:h1, :h2] = kernel
+    out[:h1, h2:] = kernel[:, p2 - h2:0:-1]
+    out[h1:] = out[p1 - h1:0:-1]
+    return out
 
 
 def _potential(values, spec):
     """Truncated-kernel potential of real fields on their support box.
 
-    Returns (pot, box), box as _spectrum gives it and pot equal to
+    Returns (pot, box), box as _real_pass gives it and pot equal to
     irfftn(rfftn(values[..., *box], s) * kernel, s) on it; values *
     potential vanishes off the box, so the potential there is never formed.
-    The numpy.fft inverse passes run in pocketfft's irfftn order, each
-    cropping to the box before the next; the two complex passes keep their
-    shape and write in place.  The 1/(P1 P2 P3) scale is applied once at
-    the end, rounded from long double as pocketfft rounds it.
+    After the real pass, the complex passes run on blocks of last-axis
+    planes, each block holding at most _PLANE_BYTES of padded spectrum (and
+    at least one plane): the two forward passes, the kernel product, and
+    the two inverse passes in pocketfft's irfftn order, each cropping to
+    the box before the next.  A block is written back into the half array,
+    and the final irfft runs once on it.  Every 1D line of every pass sees
+    the input it sees in the whole transform, so every bit is the same.
+    The 1/(P1 P2 P3) scale is applied once at the end, rounded from long
+    double as pocketfft rounds it.
     """
-    coeffs, box, engine = _spectrum(values, spec)
+    half, box, engine = _real_pass(values, spec)
     p1, p2, p3 = engine.shape
     b1, b2, b3 = (s.stop - s.start for s in box)
-    coeffs *= engine.kernel
-    coeffs = np.fft.ifft(coeffs, axis=-3, norm="forward", out=coeffs)[..., :b1, :, :]
-    coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs)[..., :b2, :]
-    pot = np.fft.irfft(coeffs, n=p3, axis=-1, norm="forward")[..., :b3]
+    plane = math.prod(half.shape[:-3]) * p1 * p2 * 16  # bytes of complex128
+    step = max(1, _PLANE_BYTES // plane)
+    for lo in range(0, half.shape[-1], step):
+        planes = slice(lo, lo + step)
+        coeffs = _complex_passes(half[..., planes], engine.shape)
+        coeffs *= _kernel_planes(engine.kernel[..., planes], engine.shape)
+        coeffs = np.fft.ifft(coeffs, axis=-3, norm="forward", out=coeffs)[..., :b1, :, :]
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs)[..., :b2, :]
+        half[..., planes] = coeffs
+    pot = np.fft.irfft(half, n=p3, axis=-1, norm="forward")[..., :b3]
     pot *= np.float64(1 / np.longdouble(p1 * p2 * p3))
     return pot, box
 

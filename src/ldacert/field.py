@@ -132,7 +132,11 @@ def integrate(field):
 def _gradient_norm2(values, spacing):
     """|grad f|^2 of grid samples, the one stencil of every grid route."""
     gx, gy, gz = np.gradient(values, *spacing)
-    return gx**2 + gy**2 + gz**2
+    # squared and summed in place, in the order of gx**2 + gy**2 + gz**2
+    out = np.square(gx, out=gx)
+    out += np.square(gy, out=gy)
+    out += np.square(gz, out=gz)
+    return out
 
 
 # ---------------------------------------------------------------------------

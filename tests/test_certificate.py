@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,11 +323,14 @@ def test_flatness_error_refuses_a_non_finite_kin():
 @pytest.mark.parametrize("value", [1e153, 1e160])
 def test_flatness_error_refuses_a_non_finite_bulk(value):
     """A constant density of 1e153 or 1e160: the upper bulk sum overflows,
-    and from 1.34e154 on rho^2 does too, in both displays."""
+    and from 1.34e154 on rho^2 does too, in both displays.  The refusal is
+    the only report: numpy's overflow warnings would raise here."""
     spec = field.GridSpec((59, 59, 59), (0.1, 0.1, 0.1), (-2.9, -2.9, -2.9))
     rho = field.Density.grid(field.ScalarField(spec, np.full(spec.dims, value)))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="bulk"):
-        certificate.flatness_error(rho, 0.25, QUANTUM, 4.0, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="bulk"):
+            certificate.flatness_error(rho, 0.25, QUANTUM, 4.0, 0.8)
 
 
 def test_flatness_error_gaussian_values():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,12 +147,14 @@ def test_hartree_builds_kernel_once_per_grid(monkeypatch):
 
 def _potential_reference(values, spec):
     """The unpruned transform on the support box: rfftn of the whole padded
-    box, kernel, irfftn of the whole padded box, crop."""
+    box, the kernel evaluated on the whole half-grid, irfftn of the whole
+    padded box, crop."""
     box = _support_slices(values)
     sub = values[(...,) + box]
     engine = coulomb._engine(sub.shape[-3:], spec.spacing, spec.dims)
     n1, n2, n3 = sub.shape[-3:]
-    coeffs = scipy.fft.rfftn(sub, s=engine.shape, axes=(-3, -2, -1)) * engine.kernel
+    kernel = _direct_half_grid_kernel(engine.freqs, engine.radius)
+    coeffs = scipy.fft.rfftn(sub, s=engine.shape, axes=(-3, -2, -1)) * kernel
     pot = scipy.fft.irfftn(coeffs, s=engine.shape, axes=(-3, -2, -1))[..., :n1, :n2, :n3]
     return pot, box
 
@@ -223,6 +226,53 @@ def test_pruned_potential_equals_unpruned_on_the_support(dims, case):
     assert not np.any(values[..., outside])
 
 
+@pytest.mark.parametrize("planes", [1, 3], ids=["one_plane", "partial_last"])
+@pytest.mark.parametrize("dims,block,padded", [
+    ((17, 24, 9), np.s_[:, :, :], (34, 48, 18)),
+    ((16, 16, 16), np.s_[3:12, 3:12, 3:12], (27, 32, 25))], ids=["even_p3", "odd_p3"])
+def test_potential_blocks_keep_every_bit(monkeypatch, dims, block, padded, planes):
+    # a stack of two fields, as the periodic identity transforms its basis;
+    # the blocks hold `planes` last-axis planes of the padded spectrum each,
+    # the last one fewer where they do not divide P3//2 + 1
+    spec = field.GridSpec(dims, (0.11, 0.07, 0.13), (-1.0, -0.8, -0.6))
+    values = _sparse_values(dims, (2,), [block, block], seed=sum(dims))
+    want, want_box = _potential_reference(values, spec)
+    _, _, engine = coulomb._real_pass(values, spec)
+    assert engine.shape == padded
+    p1, p2, p3 = padded
+    monkeypatch.setattr(coulomb, "_PLANE_BYTES", planes * 2 * p1 * p2 * 16)
+    seen = []
+    passes = coulomb._complex_passes
+    monkeypatch.setattr(coulomb, "_complex_passes",
+                        lambda half, shape: seen.append(half.shape) or passes(half, shape))
+    got, box = coulomb._potential(values, spec)
+    h3 = p3 // 2 + 1
+    whole, rest = divmod(h3, planes)
+    assert [shape[-1] for shape in seen] == [planes] * whole + [rest] * (rest > 0)
+    assert all(shape[:-1] == want.shape[:-1] for shape in seen)
+    assert box == want_box
+    np.testing.assert_array_equal(got, want)
+
+
+def test_hartree_holds_no_whole_padded_spectrum():
+    # a full-support 80^3 field, the geometry of a dense 80^3 grid file:
+    # the padded spectrum is (160, 160, 81) complex, 33 MB, and hartree's
+    # traced peak, the engine's build included, stays below it
+    spec = field.GridSpec((80, 80, 80), (0.1,) * 3, (-3.95,) * 3)
+    values = np.zeros(spec.dims)
+    values[1:-1, 1:-1, 1:-1] = np.random.default_rng(80).uniform(size=(78, 78, 78))
+    fld = field.ScalarField(spec, values)
+    coulomb._engine.cache_clear()
+    tracemalloc.start()
+    try:
+        coulomb.hartree(fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coulomb._engine(spec.dims, spec.spacing, spec.dims).shape == (160, 160, 160)
+    assert peak < 160 * 160 * 81 * 16
+
+
 def test_hartree_checks_support_on_the_box(monkeypatch):
     values = _sparse_values((17, 24, 9), (), [np.s_[3:9, 5:14, 2:7]], seed=3)
     spec = field.GridSpec((17, 24, 9), (0.11, 0.07, 0.13))
@@ -264,16 +314,24 @@ def _direct_half_grid_kernel(freqs, radius):
 @pytest.mark.parametrize("shape", [(8, 12, 10), (9, 15, 7), (10, 7, 11)],
                          ids=["even", "odd", "mixed"])
 def test_mirrored_kernel_equals_direct_evaluation(shape):
+    # the octant, and the half-grid planes read from it through reversed
+    # views, hold the bits of the kernel evaluated at every point
     freqs = [2.0 * math.pi * np.fft.fftfreq(n, d=h) for n, h in zip(shape, (0.3, 0.2, 0.25))]
-    np.testing.assert_array_equal(coulomb._half_grid_kernel(freqs, 1.7),
-                                  _direct_half_grid_kernel(freqs, 1.7))
+    direct = _direct_half_grid_kernel(freqs, 1.7)
+    octant = coulomb._octant_kernel(freqs, 1.7)
+    h1, h2 = (n // 2 + 1 for n in shape[:2])
+    np.testing.assert_array_equal(octant, direct[:h1, :h2])
+    np.testing.assert_array_equal(coulomb._kernel_planes(octant, shape), direct)
+    np.testing.assert_array_equal(coulomb._kernel_planes(octant[..., 2:4], shape),
+                                  direct[..., 2:4])
 
 
 def test_engine_kernel_equals_direct_evaluation():
     # a box of 4 x 6 x 3 nodes on a 9 x 12 x 7 grid
     engine = coulomb._Engine((4, 6, 3), (0.3, 0.2, 0.25), (9, 12, 7))
-    np.testing.assert_array_equal(engine.kernel,
-                                  _direct_half_grid_kernel(engine.freqs, engine.radius))
+    h1, h2 = (p // 2 + 1 for p in engine.shape[:2])
+    np.testing.assert_array_equal(
+        engine.kernel, _direct_half_grid_kernel(engine.freqs, engine.radius)[:h1, :h2])
 
 
 @pytest.mark.parametrize("box_dims", [(9, 12, 7), (4, 6, 3), (2, 2, 2), (9, 2, 7)])
@@ -623,7 +681,13 @@ def test_periodic_identity_values_ignore_the_block_size(monkeypatch):
     for block in (1, 8000, 1 << 16, 1 << 21):
         monkeypatch.setattr(coulomb, "_CHECK_BLOCK", block)
         got.add(coulomb.periodic_localization_identity(rho, coeffs, ell=8.0, spec=spec))
-    assert len(got) == 1
+    # the basis, four fields on a (32, 32, 32) engine, in blocks of one last-axis
+    # plane and of three (the last of 17 planes holds two): the values of
+    # the whole padded spectrum
+    for plane_bytes in (1, 3 * 4 * 32 * 32 * 16):
+        monkeypatch.setattr(coulomb, "_PLANE_BYTES", plane_bytes)
+        got.add(coulomb.periodic_localization_identity(rho, coeffs, ell=8.0, spec=spec))
+    assert got == {(0.3701583436658189, 0.3701588181676653)}
 
 
 def _overpadded_hartree(fld, shape, radius):
